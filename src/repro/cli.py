@@ -243,8 +243,7 @@ def _cmd_bench(args) -> int:
     if args.profile is not _NO_PROFILE:
         # Profile-only mode: no JSON report — the table goes to stdout so
         # perf PRs can paste it straight into their discussion.
-        print(bench.profile_job(args.profile, backend=args.backend,
-                                top=args.profile_top))
+        print(bench.profile_job(args.profile, top=args.profile_top))
         return 0
     if args.sweep:
         report = bench.run_sweep_bench(quick=args.quick,
@@ -255,17 +254,7 @@ def _cmd_bench(args) -> int:
         print(bench.format_sweep_report(report))
         print(f"report written to {path}")
         return 0
-    if args.ab:
-        report = bench.run_paired_bench(quick=args.quick,
-                                        repeats=args.repeats,
-                                        backend=args.backend or "turbo")
-        stem = args.output_name or f"BENCH_ab_{report['rev']}"
-        path = bench.write_report(report, Path(args.output_dir), stem=stem)
-        print(bench.format_paired_report(report))
-        print(f"report written to {path}")
-        return 0
-    report = bench.run_bench(quick=args.quick, repeats=args.repeats,
-                             backend=args.backend)
+    report = bench.run_bench(quick=args.quick, repeats=args.repeats)
     output_dir = Path(args.output_dir)
     path = bench.write_report(report, output_dir,
                               stem=args.output_name)
@@ -319,10 +308,7 @@ def _cmd_timeline(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    import dataclasses
-
     from repro.experiments.engine import SimJob
-    from repro.sim.backend import resolve_backend
     from repro.sim.system import System
     from repro.sim.tracing import EventTracer, write_chrome_trace
     from repro.workloads.catalog import get_benchmark
@@ -335,9 +321,6 @@ def _cmd_trace(args) -> int:
     scale = SCALES[args.scale]()
     job = SimJob.single_core(args.configuration, args.workload, scale)
     config = job.build_config()
-    if args.backend:
-        config = dataclasses.replace(config, backend=args.backend)
-    backend_name = resolve_backend(config.backend).name
     traces = job.build_traces()
     tracer = EventTracer() if args.max_events is None \
         else EventTracer(max_events=args.max_events)
@@ -349,7 +332,7 @@ def _cmd_trace(args) -> int:
         args.out, tracer, config.dram,
         metadata={"workload": args.workload,
                   "configuration": args.configuration,
-                  "scale": args.scale, "backend": backend_name})
+                  "scale": args.scale})
     kinds: dict[str, int] = {}
     for record in tracer.events:
         kinds[record[0]] = kinds.get(record[0], 0) + 1
@@ -358,9 +341,8 @@ def _cmd_trace(args) -> int:
                                               ("req", "requests"),
                                               ("ref", "refreshes"),
                                               ("mech", "mechanism")))
-    print(f"traced {args.workload} on {args.configuration} "
-          f"({backend_name} backend): {result.total_cycles} cycles, "
-          f"{elapsed_s:.1f}s")
+    print(f"traced {args.workload} on {args.configuration}: "
+          f"{result.total_cycles} cycles, {elapsed_s:.1f}s")
     print(f"{tracer.total_events} events recorded "
           f"({breakdown}; {tracer.dropped_events} dropped by the "
           f"{tracer.max_events}-event ring buffer)")
@@ -550,10 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FILE",
                        help="baseline report to compute speedups against "
                             "(default benchmarks/perf/BENCH_baseline.json)")
-    bench.add_argument("--backend", default=None, metavar="NAME",
-                       help="simulation backend to time (python, turbo); "
-                            "default: REPRO_SIM_BACKEND or python.  The "
-                            "resolved name is recorded in the report")
     bench.add_argument("--profile", nargs="?", const=None,
                        default=_NO_PROFILE, metavar="JOB",
                        help="cProfile one bench job (default: the first "
@@ -562,17 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "matrix")
     bench.add_argument("--profile-top", type=int, default=25, metavar="N",
                        help="rows of the --profile table (default 25)")
-    bench.add_argument("--ab", action="store_true",
-                       help="paired A/B mode: time every job on both the "
-                            "python baseline and the --backend candidate "
-                            "(default turbo) in the same process and "
-                            "record per-job + geomean speedups in the "
-                            "report's comparisons block")
     bench.add_argument("--sweep", action="store_true",
                        help="benchmark the experiment engine's sweep "
                             "throughput (jobs/sec, cold cache) instead of "
-                            "the simulator: warm-pool engine vs the PR-1 "
-                            "dispatch strategy at each --sweep-jobs level")
+                            "the simulator, at each --sweep-jobs level")
     bench.add_argument("--sweep-jobs", type=_int_list, default=[1, 2, 4],
                        metavar="N1,N2,...",
                        help="worker counts the sweep bench measures "
@@ -620,9 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                             f"name: {', '.join(configuration_names())})")
     trace.add_argument("--scale", choices=sorted(SCALES), default="smoke",
                        help="trace length (default: smoke)")
-    trace.add_argument("--backend", default=None, metavar="NAME",
-                       help="simulation backend (python, turbo); default: "
-                            "REPRO_SIM_BACKEND or python")
     trace.add_argument("--max-events", type=int, default=None,
                        metavar="N",
                        help="ring-buffer capacity; older events are "

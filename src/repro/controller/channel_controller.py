@@ -157,12 +157,12 @@ class ChannelController:
         return (len(reads) if reads else 0) + (len(writes) if writes else 0)
 
     def wakeup_view(self) -> tuple[list, dict]:
-        """The live ``(wake-up heap, wake-cycle dict)`` pair for hot loops.
+        """The live ``(wake-up heap, wake-cycle dict)`` pair of this channel.
 
         Accessor contract: the controller never rebinds ``_wakeup_heap``
         or ``_wakeup_cycle`` after construction — both are mutated in
         place — so a snapshot taken once per simulation run stays live for
-        the whole run.  The simulator hot loops peek these structures
+        the whole run.  The simulator's event loop peeks these structures
         directly instead of calling :meth:`next_wakeup` per event and
         verify the contract with a debug assertion at the end of the run
         (a subclass that rebinds either attribute would silently desync

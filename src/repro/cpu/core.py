@@ -81,12 +81,6 @@ class _OutstandingMiss:
     instruction_position: int
     #: True when the window cannot retire past this miss (demand loads).
     blocks_window: bool
-    #: ``address`` masked to its cache block (``address & _block_mask``).
-    #: The reference loop matches completions by masking ``address`` on the
-    #: fly; the turbo backend precomputes the block at allocation so its
-    #: completion scan is a single field compare.  Defaults to -1 (unset)
-    #: for entries built by the reference path, which never reads it.
-    block: int = -1
 
 
 class IssuedRequest(NamedTuple):
@@ -231,8 +225,8 @@ class TraceCore:
         # The whole issue loop runs on locals (written back before every
         # return): it executes once per trace record, and both a method
         # call per record and repeated attribute loads are measurable.  The
-        # stall conditions mirror :meth:`_stall_reason`; the record
-        # execution mirrors the former ``_execute_record``.
+        # loop head stalls when the MSHRs are full or the oldest blocking
+        # miss is ``window_size`` instructions behind.
         (trace, trace_length, mshr_entries, mshr_capacity, outstanding,
          window_size, issue_width, hierarchy_access, mshrs, mshr_shift,
          run_stats) = self._run_hot
@@ -331,8 +325,8 @@ class TraceCore:
                 if (miss.address & block_mask) != block]
         if len(kept) == len(outstanding):
             return False
-        # Stall checks inline (mirroring _stall_reason): once against the
-        # state before the completion is applied, once after.
+        # The issue loop's stall checks, once against the state before the
+        # completion is applied and once after.
         mshr_entries = self._mshr_entries
         window_size = self._window_size
         oldest = outstanding[0]
@@ -370,19 +364,6 @@ class TraceCore:
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
-    def _stall_reason(self) -> str | None:
-        """Why the core cannot issue the next record right now, if at all."""
-        if len(self._mshr_entries) >= self._mshr_capacity:
-            return "mshr"
-        outstanding = self._outstanding
-        if outstanding:
-            oldest = outstanding[0]
-            if oldest.blocks_window \
-                    and (self._issued_instructions
-                         - oldest.instruction_position) >= self._window_size:
-                return "window"
-        return None
-
     def _retire(self) -> None:
         self._finished = True
         self.stats.finish_cycle = self._core_cycle

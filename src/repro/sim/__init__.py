@@ -10,10 +10,6 @@
   controller + DRAM + mechanism) from a configuration and a set of traces.
 * :mod:`repro.sim.simulator` — the global event loop co-simulating the cores
   and the memory system.
-* :mod:`repro.sim.backend` — the pluggable simulation-backend registry:
-  ``"python"`` (the reference loop) and ``"turbo"`` (the batch-stepped
-  accelerated core, bit-identical results), selected per
-  :class:`SystemConfig` or via ``REPRO_SIM_BACKEND``.
 * :mod:`repro.sim.metrics` — :class:`SimulationResult` with IPC, weighted
   speedup, in-DRAM cache hit rate, row-buffer hit rate, and energy.
 * :mod:`repro.sim.telemetry` — the unified telemetry layer: per-request
@@ -21,9 +17,6 @@
   series, and pluggable probes (see ``docs/telemetry.md``).
 """
 
-from repro.sim.backend import (BACKEND_ENV_VAR, DEFAULT_BACKEND,
-                               SimulationBackend, backend_names,
-                               register_backend, resolve_backend)
 from repro.sim.config import (CONFIGURATION_NAMES, MECHANISM_REGISTRY,
                               ConfigurationSpec, SystemConfig,
                               configuration_names, make_mechanism,
@@ -35,11 +28,8 @@ from repro.sim.telemetry import (LatencyHistogram, Telemetry,
                                  TelemetryConfig, TelemetryResult)
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "CONFIGURATION_NAMES",
     "ConfigurationSpec",
-    "DEFAULT_BACKEND",
-    "SimulationBackend",
     "LatencyHistogram",
     "MECHANISM_REGISTRY",
     "SimulationResult",
@@ -49,10 +39,7 @@ __all__ = [
     "Telemetry",
     "TelemetryConfig",
     "TelemetryResult",
-    "backend_names",
     "configuration_names",
-    "register_backend",
-    "resolve_backend",
     "make_mechanism",
     "make_system_config",
     "register_configuration",

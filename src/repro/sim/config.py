@@ -212,12 +212,6 @@ class SystemConfig:
     #: changes what the result *contains*, which is why it is part of the
     #: configuration (and thus of the experiment engine's cache key).
     telemetry: TelemetryConfig | None = None
-    #: Simulation backend (a :data:`repro.sim.backend.BACKEND_REGISTRY`
-    #: key); None defers to the ``REPRO_SIM_BACKEND`` environment variable
-    #: and then the default (``"python"``).  Backends are bit-identical by
-    #: contract, so this field is *excluded* from :func:`config_digest` —
-    #: same physics, same cache key.
-    backend: str | None = None
 
 
 def config_digest(config: SystemConfig) -> str:
@@ -227,15 +221,8 @@ def config_digest(config: SystemConfig) -> str:
     timings, core, scheduler, and mechanism configs) contributes to the
     digest, so any knob that changes simulated behaviour changes the hash.
     The experiment engine uses this as part of its persistent cache key.
-
-    The one exception is the simulation ``backend``: backends are
-    bit-identical by contract (enforced against ``tests/golden/``), so the
-    digest deliberately ignores it — results computed by one backend are
-    valid cache hits for another.
     """
-    fields = asdict(config)
-    fields.pop("backend", None)
-    payload = json.dumps(fields, sort_keys=True,
+    payload = json.dumps(asdict(config), sort_keys=True,
                          separators=(",", ":"), default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -267,8 +254,7 @@ def make_system_config(name: str, channels: int = 1,
                        standard: str = "DDR4-1600",
                        telemetry: bool = False,
                        telemetry_epoch_cycles: int = DEFAULT_EPOCH_CYCLES,
-                       dram_overrides: dict | None = None,
-                       backend: str | None = None) -> SystemConfig:
+                       dram_overrides: dict | None = None) -> SystemConfig:
     """Build the named configuration (paper Section 8).
 
     Parameters other than ``name`` and ``channels`` are the sensitivity
@@ -279,9 +265,7 @@ def make_system_config(name: str, channels: int = 1,
     bit-identical to the historical defaults.  ``telemetry=True`` attaches
     a :class:`~repro.sim.telemetry.TelemetryConfig` sampling every
     ``telemetry_epoch_cycles`` cycles; telemetry never changes simulated
-    results, only what the result reports.  ``backend`` selects the
-    simulation event core (:mod:`repro.sim.backend`); backends never change
-    simulated results, only how fast they are produced.
+    results, only what the result reports.
     """
     spec = _registry_spec(name)
     core = core or CoreConfig()
@@ -307,4 +291,4 @@ def make_system_config(name: str, channels: int = 1,
                         refresh_enabled=refresh_enabled,
                         track_row_activations=track_row_activations,
                         standard=standard, dram_energy=profile.energy,
-                        telemetry=telemetry_config, backend=backend)
+                        telemetry=telemetry_config)

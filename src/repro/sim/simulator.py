@@ -52,17 +52,16 @@ _saved_switch_interval = 0.0
 def interpreter_run_guard():
     """Suspend cyclic GC and raise the GIL switch interval for one run.
 
-    The simulation event loops allocate heavily (requests, events,
-    results) but create no reference cycles — plain reference counting
+    The simulation event loop allocates heavily (requests, events,
+    results) but creates no reference cycles — plain reference counting
     reclaims everything.  Cyclic-GC passes triggered by the allocation
     rate would only scan the heap for nothing, so they are suspended for
     the duration of the run.  The GIL switch interval is raised for the
-    same reason: the loops are single-threaded and pure Python, so
+    same reason: the loop is single-threaded and pure Python, so
     frequent bytecode-level preemption checks buy nothing (1 s keeps any
     co-resident threads schedulable, unlike a multi-second value, while
-    capturing essentially all of the benefit).  Shared by every
-    simulation backend (:mod:`repro.sim.backend`); re-entrant, restoring
-    the saved interpreter state only when the outermost run exits.
+    capturing essentially all of the benefit).  Re-entrant, restoring the
+    saved interpreter state only when the outermost run exits.
     """
     global _active_runs, _saved_gc_enabled, _saved_switch_interval
     if _active_runs == 0:
@@ -130,18 +129,6 @@ class Simulator:
     def _push(self, cycle: int, kind: int, payload: object) -> None:
         heapq.heappush(self._events,
                        (cycle, next(self._sequence), kind, payload))
-
-    def _schedule_controller_wake(self) -> None:
-        wake = self._controller.next_wakeup()
-        if wake is None:
-            return
-        if wake < self._now:
-            wake = self._now
-        if self._scheduled_wake is not None and self._scheduled_wake <= wake:
-            return
-        self._scheduled_wake = wake
-        heapq.heappush(self._events,
-                       (wake, next(self._sequence), _CONTROLLER_WAKE, None))
 
     # ------------------------------------------------------------------
     # Main loop.
@@ -212,7 +199,8 @@ class Simulator:
                     payload.decoded, payload.flat_bank, channel_controller \
                         = entry
                 completed = channel_controller.enqueue(payload, cycle)
-                # Inline completion delivery (see _deliver_completions).
+                # Deliver read completions; a core they unblock gets a
+                # CORE_RUN at the completion cycle.
                 for request in completed:
                     if request.is_write:
                         continue
@@ -223,8 +211,8 @@ class Simulator:
                         heappush(events, (completion_cycle, next(sequence),
                                           _CORE_RUN, core))
             elif kind == _CORE_RUN:
-                # Inline _handle_core_run: turn the core's issued requests
-                # into REQUEST_ARRIVAL events.
+                # Turn the core's issued requests into REQUEST_ARRIVAL
+                # events.
                 issued_requests = payload.run_requests(cycle)
                 if issued_requests:
                     core_id = payload.core_id
@@ -273,9 +261,8 @@ class Simulator:
                             heappush(events,
                                      (completion_cycle, next(sequence),
                                       _CORE_RUN, core))
-            # Inline _schedule_controller_wake: push a CONTROLLER_WAKE for
-            # the earliest pending bank unless one is already queued at or
-            # before that cycle.
+            # Push a CONTROLLER_WAKE for the earliest pending bank unless
+            # one is already queued at or before that cycle.
             wake = None
             for heap, live in wakeup_views:
                 while heap:
@@ -314,22 +301,6 @@ class Simulator:
             # Close the trailing partial epoch (includes the write drain).
             telemetry.finalize(self._now)
         return finish_cycle
-
-    # ------------------------------------------------------------------
-    # Event handlers.
-    # ------------------------------------------------------------------
-    def _deliver_completions(self, completed: list[MemoryRequest]) -> None:
-        cores = self._cores
-        events = self._events
-        sequence = self._sequence
-        for request in completed:
-            if request.is_write:
-                continue
-            core = cores[request.core_id]
-            completion_cycle = request.completion_cycle
-            if core.notify_completion(request.address, completion_cycle):
-                heapq.heappush(events, (completion_cycle, next(sequence),
-                                        _CORE_RUN, core))
 
     def _raise_limit(self, cycle: int) -> None:
         """Report which safety limit the next event would exceed."""

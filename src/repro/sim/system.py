@@ -62,9 +62,8 @@ class System:
         if self.config.telemetry is not None:
             telemetry = Telemetry(self.config.telemetry, self.cores,
                                   self.controller, self.mechanisms)
-        backend = resolve_backend(self.config.backend)
-        simulator = backend.create(self.cores, self.controller, self._limits,
-                                   telemetry=telemetry)
+        simulator = resolve_backend().create(self.cores, self.controller,
+                                             self._limits, telemetry=telemetry)
         simulator.run()
         self.processed_events = simulator.processed_events
 

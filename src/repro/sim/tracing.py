@@ -30,12 +30,11 @@ Zero-overhead-when-off contract (the PR 4 telemetry discipline): tracing
 is enabled by *installing* a tracer on the assembled system
 (``System(..., tracer=...)``); with no tracer installed every hook is a
 single ``tracer is not None`` comparison against an attribute that is
-``None``, hoisted out of the per-request loops where possible, and the
-turbo backend's fully-fused single-channel loop is not touched at all
-(traced turbo runs take the generic loop, which is bit-identical by the
-backend parity contract).  Tracing never changes simulated results —
-hooks are read-only observers — so results are bit-identical with
-tracing on or off (``tests/test_backend.py`` asserts both directions).
+``None``, hoisted out of the per-request loops where possible.  A traced
+run takes the same code path as an untraced one.  Tracing never changes
+simulated results — hooks are read-only observers — so results are
+bit-identical with tracing on or off (``tests/test_tracing.py`` asserts
+it).
 
 The recorder is a ring buffer: once ``max_events`` records are held, the
 oldest are dropped (``dropped_events`` counts them), so a trace of an

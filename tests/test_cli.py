@@ -148,3 +148,22 @@ class TestOutputSmoke:
         assert "timeline: lbm on Base" in out
         assert "read latency (cycles):" in out
         assert "p99" in out
+
+
+# ----------------------------------------------------------------------
+# Removed options fail loudly.
+# ----------------------------------------------------------------------
+class TestRemovedOptions:
+    """The simulation-backend options are gone; passing one is an error,
+    never a silently ignored flag."""
+
+    @pytest.mark.parametrize("argv", (
+        ["bench", "--ab"],
+        ["bench", "--backend", "turbo"],
+        ["trace", "lbm", "--backend", "turbo"],
+    ))
+    def test_backend_options_exit_nonzero(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code != 0
+        assert "unrecognized arguments" in capsys.readouterr().err

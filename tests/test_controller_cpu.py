@@ -1,5 +1,8 @@
 """Tests for the memory controller substrate and the processor-side models."""
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -298,42 +301,46 @@ def simple_trace(n, stride=4096, bubbles=10, write_every=0):
 
 
 def drive_core_to_completion(core, latency=200):
-    """Feed the core fixed-latency completions until it finishes."""
-    pending = []
-    result = core.run(0)
-    pending.extend(result.requests)
-    guard = 0
-    while not core.finished and guard < 10000:
-        guard += 1
-        if not pending:
-            result = core.run(core.core_cycle)
-            pending.extend(result.requests)
-            if not result.requests and not result.stalled:
-                break
-            continue
-        request = pending.pop(0)
-        if request.is_write:
-            continue
+    """Run ``core`` to completion against a fixed-latency memory.
+
+    Reads complete in issue order, ``latency`` cycles after issue; every
+    completion that unblocks the core runs it again.  Returns every request
+    the core issued, in order, and checks the MSHR bound after each run.
+    """
+    stream = []
+    pending = deque()
+
+    def run(now):
+        issued = core.run(now).requests
+        assert core.mshrs.occupancy <= core.config.mshr_entries
+        stream.extend(issued)
+        pending.extend(request for request in issued if not request.is_write)
+
+    run(0)
+    while pending:
+        request = pending.popleft()
         finish = request.issue_cycle + latency
         if core.notify_completion(request.address, finish):
-            result = core.run(finish)
-            pending.extend(result.requests)
-    return core
+            run(finish)
+    assert core.finished
+    return stream
 
 
 class TestTraceCore:
     def test_core_finishes_and_counts_instructions(self):
         trace = simple_trace(50)
-        core = drive_core_to_completion(TraceCore(0, trace))
+        core = TraceCore(0, trace)
+        drive_core_to_completion(core)
         assert core.finished
         assert core.stats.instructions == sum(r.instructions for r in trace)
         assert core.stats.ipc() > 0
 
     def test_higher_latency_lowers_ipc(self):
         trace = simple_trace(80)
-        fast = drive_core_to_completion(TraceCore(0, trace), latency=100)
-        slow = drive_core_to_completion(TraceCore(0, list(trace)),
-                                        latency=800)
+        fast = TraceCore(0, trace)
+        slow = TraceCore(0, list(trace))
+        drive_core_to_completion(fast, latency=100)
+        drive_core_to_completion(slow, latency=800)
         assert fast.stats.ipc() > slow.stats.ipc()
 
     def test_mshr_limit_caps_outstanding_requests(self):
@@ -367,3 +374,87 @@ class TestTraceCore:
         # All stores: the core only pauses when MSHRs run out, not because
         # the window is blocked by a load.
         assert core.stats.llc_miss_stores > 0
+
+
+# ----------------------------------------------------------------------
+# Trace-core properties over random traces and core configurations.
+# ----------------------------------------------------------------------
+#: Tiny hierarchies, so a pool of a few dozen blocks produces hits at every
+#: level, dirty LLC evictions, and blocks evicted from all three levels
+#: while their miss is still outstanding (the only way an MSHR merges).
+#: The second one gives L2 three sets, which takes the modulo set index.
+SMALL_HIERARCHIES = (
+    HierarchyConfig(
+        l1=CacheConfig(size_bytes=128, associativity=2),
+        l2=CacheConfig(size_bytes=256, associativity=2, hit_latency_cycles=3),
+        llc=CacheConfig(size_bytes=512, associativity=2,
+                        hit_latency_cycles=8)),
+    HierarchyConfig(
+        l1=CacheConfig(size_bytes=128, associativity=2),
+        l2=CacheConfig(size_bytes=384, associativity=2, hit_latency_cycles=3),
+        llc=CacheConfig(size_bytes=512, associativity=2,
+                        hit_latency_cycles=8)),
+)
+
+#: Distinct cache blocks the random traces draw their addresses from.
+ADDRESS_POOL_BLOCKS = 24
+
+trace_records = st.builds(
+    TraceRecord,
+    bubbles=st.integers(0, 6),
+    address=st.builds(lambda block, offset: block * 64 + offset,
+                      st.integers(0, ADDRESS_POOL_BLOCKS - 1),
+                      st.integers(0, 63)),
+    is_write=st.booleans())
+
+core_configs = st.builds(
+    CoreConfig,
+    issue_width=st.integers(1, 4),
+    window_size=st.integers(8, 256),
+    mshr_entries=st.integers(1, 8),
+    hierarchy=st.sampled_from(SMALL_HIERARCHIES))
+
+
+class TestTraceCoreProperties:
+    @given(trace=st.lists(trace_records, min_size=1, max_size=120),
+           config=core_configs,
+           latency=st.sampled_from((1, 60, 400)))
+    @settings(max_examples=80, deadline=None)
+    def test_request_stream_balances_against_core_counters(self, trace,
+                                                           config, latency):
+        core = TraceCore(0, trace, config)
+        stream = drive_core_to_completion(core, latency)
+        stats, mshrs = core.stats, core.mshrs
+        reads = [request for request in stream if not request.is_write]
+        writes = [request for request in stream if request.is_write]
+
+        assert stats.instructions == sum(record.bubbles + 1
+                                         for record in trace)
+        assert stats.memory_instructions == len(trace)
+        assert len(reads) == mshrs.allocations
+        assert stats.llc_miss_loads + stats.llc_miss_stores \
+            == core.hierarchy.llc_misses \
+            == mshrs.allocations + mshrs.merges
+        assert len(writes) == stats.writebacks
+        assert mshrs.occupancy == 0
+
+        twin = TraceCore(0, trace, config)
+        assert drive_core_to_completion(twin, latency) == stream
+        assert twin.stats == stats
+        assert (twin.mshrs.allocations, twin.mshrs.merges) \
+            == (mshrs.allocations, mshrs.merges)
+
+    def test_address_pool_reaches_every_path(self):
+        """The strategies above can produce every case the properties
+        cover: hits at each level, dirty evictions, and MSHR merges."""
+        rng = random.Random(7)
+        trace = [TraceRecord(bubbles=rng.randint(0, 6),
+                             address=rng.randrange(ADDRESS_POOL_BLOCKS) * 64,
+                             is_write=rng.random() < 0.4)
+                 for _ in range(400)]
+        core = TraceCore(0, trace, CoreConfig(hierarchy=SMALL_HIERARCHIES[1]))
+        drive_core_to_completion(core, latency=400)
+        hierarchy = core.hierarchy
+        assert hierarchy.l1.hits and hierarchy.l2.hits and hierarchy.llc.hits
+        assert core.stats.writebacks > 0
+        assert core.mshrs.merges > 0

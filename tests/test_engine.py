@@ -19,6 +19,7 @@ from repro.experiments.engine.executor import _chunked
 from repro.experiments.engine.spec import ExperimentScale
 from repro.experiments.figures import figure9_cache_hit_rate
 from repro.experiments.runner import geometric_mean
+from repro.sim.config import config_digest, make_system_config
 from repro.sim.metrics import SimulationResult
 from repro.workloads.multiprogram import make_multiprogrammed_workload
 
@@ -129,6 +130,31 @@ class TestSimJob:
             SimJob(kind="weird", configuration="Base", scale=TINY)
         with pytest.raises(ValueError):
             SimJob(kind="single-core", configuration="Base", scale=TINY)
+
+
+class TestConfigDigestStability:
+    """``config_digest`` feeds every persistent cache key, so a change to
+    it silently orphans every on-disk ``ResultCache``.  The digests of
+    the six paper configurations are pinned."""
+
+    PINNED = {
+        "Base": "dc15c0c7bf05a5adf584fbc5dcf53f97"
+                "45394ae8338c964a978f7524ec1b7a6e",
+        "LISA-VILLA": "7834398956dfd29b70b32d8755d3e72d"
+                      "78d4eb35bb3557ed56af88614ffafb33",
+        "FIGCache-Slow": "637eb834415475dda0a09dbc0ee9bb52"
+                         "601131c7ed34692343ab95ce9a9b3e49",
+        "FIGCache-Fast": "98921c71a279da01f2bc6213a60211ec"
+                         "440869050255511fc8efe67c5373655b",
+        "FIGCache-Ideal": "eb14b8080d00dc8f5f5c79a65cc1f3e8"
+                          "01e52403cfb8046d51bbd7b57b8930f6",
+        "LL-DRAM": "20db67fb855cd8c18b739d42d20f95dc"
+                   "885cc4b3a642ccf9b35851423f52a9d0",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest_matches_pinned_value(self, name):
+        assert config_digest(make_system_config(name)) == self.PINNED[name]
 
 
 class TestResultSerialization:
