@@ -12,7 +12,7 @@ provides the equivalent substrate for the reproduction:
 * :mod:`repro.cpu.mshr` — miss-status holding registers limiting the number
   of outstanding misses per core.
 * :mod:`repro.cpu.core` — the trace-driven core model with issue-width and
-  instruction-window constraints.
+  instruction-window constraints, replaying compiled traces.
 """
 
 from repro.cpu.cache import CacheConfig, SetAssociativeCache

@@ -111,9 +111,7 @@ class SetAssociativeCache:
         """Look up (and on a miss, allocate) the block holding ``address``.
 
         The returned result is shared for hits and clean misses — treat it
-        as read-only.  KEEP IN SYNC with the fused per-level copies in
-        :meth:`repro.cpu.hierarchy.CacheHierarchy.access`, which inline
-        this algorithm for L1/L2/LLC on the full-miss hot path.
+        as read-only.
         """
         block = address >> self._offset_bits
         set_mask = self._set_mask

@@ -15,11 +15,18 @@ interact with the memory system.  The model is event-driven: the simulator
 calls :meth:`TraceCore.run` to let the core issue work until it must stall
 or finishes, and :meth:`TraceCore.notify_completion` when one of its memory
 requests completes.
+
+Nothing the memory system does reaches back into the caches, so a trace's
+hierarchy outcome depends only on its records, the issue width and the
+:class:`~repro.cpu.hierarchy.HierarchyConfig`: :func:`compile_trace`
+simulates it once per trace and process, and every core replaying that
+trace shares the result, fetched on the core's first :meth:`TraceCore.run`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 from repro.cpu.hierarchy import CacheHierarchy, HierarchyConfig
@@ -72,6 +79,48 @@ class CoreStats:
         }
 
 
+#: Compiled traces kept per process, least recently used dropped first
+#: (every figure runs each trace under three or more configurations).
+COMPILED_TRACE_CAPACITY = 16
+
+
+class CompiledTrace(NamedTuple):
+    """A trace's cache-hierarchy outcome; shared by cores, so immutable."""
+
+    #: Per record: (issue cycles plus exposed hit latency, instructions,
+    #: address, is_write, LLC miss, dirty LLC victims evicted).
+    records: tuple[tuple[int, int, int, bool, bool, tuple[int, ...]], ...]
+    #: ``(hits, misses, writebacks)`` of L1, L2 and the LLC.
+    levels: tuple[tuple[int, int, int], ...]
+    accesses: int
+    llc_misses: int
+
+
+@lru_cache(maxsize=COMPILED_TRACE_CAPACITY)
+def compile_trace(records: tuple[TraceRecord, ...], issue_width: int,
+                  hierarchy: HierarchyConfig) -> CompiledTrace:
+    """Run ``records`` through a fresh cache hierarchy.
+
+    Keyed on the records' contents (records compare by value), never on a
+    trace list's identity: its owner may mutate it.
+    """
+    caches = CacheHierarchy(hierarchy)
+    access = caches.access
+    compiled = []
+    for record in records:
+        bubbles, address, is_write = \
+            record.bubbles, record.address, record.is_write
+        result = access(address, is_write)
+        compiled.append((max((bubbles + issue_width) // issue_width, 1)
+                         + result.exposed_latency, bubbles + 1, address,
+                         is_write, result.needs_memory, result.writebacks))
+    return CompiledTrace(
+        records=tuple(compiled),
+        levels=tuple((cache.hits, cache.misses, cache.writebacks)
+                     for cache in (caches.l1, caches.l2, caches.llc)),
+        accesses=caches.accesses, llc_misses=caches.llc_misses)
+
+
 @dataclass(slots=True)
 class _OutstandingMiss:
     """A load miss the core is still waiting on."""
@@ -111,39 +160,30 @@ class TraceCore:
     """One trace-driven core."""
 
     __slots__ = ('core_id', '_trace', '_config', 'hierarchy', 'mshrs',
-                 'stats', '_issue_width', '_window_size', '_block_mask',
-                 '_mshr_entries', '_mshr_capacity', '_mshr_shift',
-                 '_hierarchy_access', '_run_hot',
-                 '_trace_fast', '_trace_length', '_core_cycle',
-                 '_next_record', '_issued_instructions', '_outstanding',
-                 '_finished')
+                 'stats', '_window_size', '_block_mask', '_mshr_entries',
+                 '_mshr_capacity', '_mshr_shift', '_run_hot',
+                 '_trace_length', '_core_cycle', '_next_record',
+                 '_issued_instructions', '_outstanding', '_finished')
 
     def __init__(self, core_id: int, trace: list[TraceRecord],
                  config: CoreConfig | None = None):
         self.core_id = core_id
         self._trace = trace
         self._config = config or CoreConfig()
+        #: Carries the compiled trace's counters once the core has run;
+        #: its sets stay empty (see :func:`compile_trace`).
         self.hierarchy = CacheHierarchy(self._config.hierarchy)
-        self.mshrs = MSHRFile(self._config.mshr_entries)
+        block_size = self._config.hierarchy.l1.block_size_bytes
+        # MSHRs track misses per cache block, the granularity at which
+        # notify_completion matches completions to outstanding misses.
+        self.mshrs = MSHRFile(self._config.mshr_entries, block_size)
         self.stats = CoreStats()
         # Hot-path constants hoisted out of the per-record loop.
-        self._issue_width = self._config.issue_width
         self._window_size = self._config.window_size
-        self._block_mask = ~(self.hierarchy.l1.config.block_size_bytes - 1)
+        self._block_mask = ~(block_size - 1)
         self._mshr_entries = self.mshrs.entries
         self._mshr_capacity = self.mshrs.num_entries
         self._mshr_shift = self.mshrs._offset_bits
-        self._hierarchy_access = self.hierarchy.access
-        #: The trace flattened to (issue_cycles, instructions, address,
-        #: is_write) tuples: the issue loop needs the issue-bandwidth cost
-        #: and instruction count of each record, and precomputing them here
-        #: replaces a ceiling division plus three attribute loads per record
-        #: with one tuple unpack.
-        issue_width = self._issue_width
-        self._trace_fast = [
-            (max((record.bubbles + 1 + issue_width - 1) // issue_width, 1),
-             record.bubbles + 1, record.address, record.is_write)
-            for record in trace]
         self._trace_length = len(trace)
         #: Core-local clock: the cycle up to which the core has issued work.
         self._core_cycle = 0
@@ -154,15 +194,12 @@ class TraceCore:
         #: Outstanding LLC load misses, in program order.
         self._outstanding: list[_OutstandingMiss] = []
         self._finished = False
-        #: Everything the issue loop needs, as one tuple: :meth:`run` is
-        #: called once per unblocking completion and often issues only a
-        #: couple of records, so its fixed setup cost (a dozen attribute
-        #: loads) matters; one load plus an unpack is cheaper.
-        self._run_hot = (self._trace_fast, self._trace_length,
-                         self._mshr_entries, self._mshr_capacity,
-                         self._outstanding, self._window_size,
-                         self._issue_width, self._hierarchy_access,
-                         self.mshrs, self._mshr_shift, self.stats)
+        #: Everything the issue loop needs, as one tuple, built with the
+        #: compiled trace on the first run: :meth:`run` is called once per
+        #: unblocking completion and often issues only a couple of records,
+        #: so its fixed setup cost (a dozen attribute loads) matters; one
+        #: load plus an unpack is cheaper.
+        self._run_hot: tuple | None = None
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -218,6 +255,7 @@ class TraceCore:
         """
         if self._finished:
             return []
+        hot = self._run_hot or self._load_compiled_trace()
         if now > self._core_cycle:
             self._core_cycle = now
         requests: list[IssuedRequest] = []
@@ -227,9 +265,8 @@ class TraceCore:
         # call per record and repeated attribute loads are measurable.  The
         # loop head stalls when the MSHRs are full or the oldest blocking
         # miss is ``window_size`` instructions behind.
-        (trace, trace_length, mshr_entries, mshr_capacity, outstanding,
-         window_size, issue_width, hierarchy_access, mshrs, mshr_shift,
-         run_stats) = self._run_hot
+        (records, trace_length, mshr_entries, mshr_capacity, outstanding,
+         window_size, mshrs, mshr_shift, run_stats) = hot
         next_record = self._next_record
         core_cycle = self._core_cycle
         issued_instructions = self._issued_instructions
@@ -251,23 +288,20 @@ class TraceCore:
                              - oldest.instruction_position) >= window_size:
                     stalled = True
                     break
-            issue_cycles, instructions, address, is_write = \
-                trace[next_record]
+            (cycles, instructions, address, is_write, needs_memory,
+             writebacks) = records[next_record]
             next_record += 1
 
-            core_cycle += issue_cycles
+            core_cycle += cycles
             issued_instructions += instructions
             new_instructions += instructions
             new_memory_instructions += 1
 
-            access = hierarchy_access(address, is_write)
-            core_cycle += access.exposed_latency
-
-            for writeback_address in access.writebacks:
+            for writeback_address in writebacks:
                 new_writebacks += 1
                 requests.append(IssuedRequest(core_cycle, writeback_address,
                                               True))
-            if not access.needs_memory:
+            if not needs_memory:
                 continue
 
             # Inline MSHRFile.allocate: the loop head guarantees a free
@@ -364,6 +398,27 @@ class TraceCore:
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
+    def _load_compiled_trace(self) -> tuple:
+        """Fetch the compiled trace, add its counters to :attr:`hierarchy`
+        (the energy model reads them) and build the issue loop state."""
+        config = self._config
+        compiled = compile_trace(tuple(self._trace), config.issue_width,
+                                 config.hierarchy)
+        hierarchy = self.hierarchy
+        for cache, (hits, misses, writebacks) in zip(
+                (hierarchy.l1, hierarchy.l2, hierarchy.llc), compiled.levels):
+            cache.hits += hits
+            cache.misses += misses
+            cache.writebacks += writebacks
+        hierarchy.accesses += compiled.accesses
+        hierarchy.llc_misses += compiled.llc_misses
+        self._trace_length = len(compiled.records)
+        self._run_hot = (compiled.records, self._trace_length,
+                         self._mshr_entries, self._mshr_capacity,
+                         self._outstanding, self._window_size, self.mshrs,
+                         self._mshr_shift, self.stats)
+        return self._run_hot
+
     def _retire(self) -> None:
         self._finished = True
         self.stats.finish_cycle = self._core_cycle

@@ -5,6 +5,10 @@ dirty LLC writebacks reach the memory controller.  Latency at each level is
 charged to the core as a (small) exposed hit cost; out-of-order execution is
 assumed to hide the rest, which is the usual first-order approximation for
 trace-driven memory-system studies.
+
+The memory system's timing never reaches the hierarchy, so
+:func:`repro.cpu.core.compile_trace` runs it once per trace and process
+rather than once per record of every simulated system.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cpu.cache import CacheConfig, SetAssociativeCache
-from repro.cpu.cache import _ABSENT
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,13 @@ class HierarchyConfig:
         size_bytes=64 * 1024, associativity=8, hit_latency_cycles=3))
     llc: CacheConfig = field(default_factory=lambda: CacheConfig(
         size_bytes=256 * 1024, associativity=16, hit_latency_cycles=8))
+
+    def __post_init__(self) -> None:
+        sizes = {self.l1.block_size_bytes, self.l2.block_size_bytes,
+                 self.llc.block_size_bytes}
+        if len(sizes) != 1:
+            raise ValueError("L1, L2 and LLC must share one block size, got "
+                             f"{sorted(sizes)} B")
 
     @classmethod
     def paper_table1(cls) -> "HierarchyConfig":
@@ -99,111 +109,36 @@ class CacheHierarchy:
         return self._config
 
     def access(self, address: int, is_write: bool) -> HierarchyAccess:
-        """Push one memory instruction through L1, L2, and the LLC.
-
-        The three per-level lookups are fused into one function: the
-        synthetic traces are dominated by full misses, so the common path
-        pays all three, and a ``SetAssociativeCache.access`` call per level
-        is the single largest per-record cost of the core model.  Each
-        level's inline block mirrors ``SetAssociativeCache.access``
-        exactly; victim fills between levels still go through
-        :meth:`_fill_lower` (dirty victims only, a minority of misses).
-        """
+        """Push one memory instruction through L1, L2, and the LLC."""
         self.accesses += 1
-
-        # --- L1 -----------------------------------------------------------
-        l1 = self.l1
-        offset_bits = l1._offset_bits
-        block = address >> offset_bits
-        mask = l1._set_mask
-        cache_set = l1._sets[block & mask if mask is not None
-                             else block % l1._num_sets]
-        dirty = cache_set.get(block, _ABSENT)
-        if dirty is not _ABSENT:
-            l1.hits += 1
-            if next(reversed(cache_set)) == block:
-                if is_write and not dirty:
-                    cache_set[block] = True
-            else:
-                del cache_set[block]
-                cache_set[block] = dirty or is_write
+        result = self.l1.access(address, is_write)
+        if result.hit:
             return self._l1_hit
-        l1.misses += 1
-        l1_writeback = None
-        if len(cache_set) >= l1._associativity:
-            victim_block = next(iter(cache_set))
-            if cache_set.pop(victim_block):
-                l1.writebacks += 1
-                l1_writeback = victim_block << offset_bits
-        cache_set[block] = is_write
-
-        # L1 victim writebacks are absorbed by L2 (modelled as L2 writes).
         writebacks: list[int] = []
-        if l1_writeback is not None:
-            self._fill_lower(self.l2, l1_writeback, dirty=True,
+        # L1 victim writebacks are absorbed by L2 (modelled as L2 writes).
+        if result.writeback_address is not None:
+            self._fill_lower(self.l2, result.writeback_address, dirty=True,
                              writebacks=writebacks)
 
-        # --- L2 -----------------------------------------------------------
-        l2 = self.l2
-        offset_bits = l2._offset_bits
-        block = address >> offset_bits
-        mask = l2._set_mask
-        cache_set = l2._sets[block & mask if mask is not None
-                             else block % l2._num_sets]
-        dirty = cache_set.get(block, _ABSENT)
-        if dirty is not _ABSENT:
-            l2.hits += 1
-            if next(reversed(cache_set)) == block:
-                if is_write and not dirty:
-                    cache_set[block] = True
-            else:
-                del cache_set[block]
-                cache_set[block] = dirty or is_write
+        result = self.l2.access(address, is_write)
+        if result.hit:
             # Writebacks triggered by the L1-victim fill are absorbed here,
             # matching the original model: an L2 hit never surfaces them.
             return self._l2_hit
-        l2.misses += 1
-        l2_writeback = None
-        if len(cache_set) >= l2._associativity:
-            victim_block = next(iter(cache_set))
-            if cache_set.pop(victim_block):
-                l2.writebacks += 1
-                l2_writeback = victim_block << offset_bits
-        cache_set[block] = is_write
-        if l2_writeback is not None:
-            self._fill_lower(self.llc, l2_writeback, dirty=True,
+        if result.writeback_address is not None:
+            self._fill_lower(self.llc, result.writeback_address, dirty=True,
                              writebacks=writebacks)
 
-        # --- LLC ----------------------------------------------------------
-        llc = self.llc
-        offset_bits = llc._offset_bits
-        block = address >> offset_bits
-        mask = llc._set_mask
-        cache_set = llc._sets[block & mask if mask is not None
-                              else block % llc._num_sets]
-        dirty = cache_set.get(block, _ABSENT)
-        if dirty is not _ABSENT:
-            llc.hits += 1
-            if next(reversed(cache_set)) == block:
-                if is_write and not dirty:
-                    cache_set[block] = True
-            else:
-                del cache_set[block]
-                cache_set[block] = dirty or is_write
+        result = self.llc.access(address, is_write)
+        if result.hit:
             if not writebacks:
                 return self._llc_hit
             return HierarchyAccess(
                 level="LLC",
                 exposed_latency=self._config.llc.hit_latency_cycles,
                 needs_memory=False, writebacks=tuple(writebacks))
-        llc.misses += 1
-        if len(cache_set) >= llc._associativity:
-            victim_block = next(iter(cache_set))
-            if cache_set.pop(victim_block):
-                llc.writebacks += 1
-                writebacks.append(victim_block << offset_bits)
-        cache_set[block] = is_write
-
+        if result.writeback_address is not None:
+            writebacks.append(result.writeback_address)
         self.llc_misses += 1
         if not writebacks:
             return self._memory_miss

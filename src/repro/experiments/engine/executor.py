@@ -20,7 +20,8 @@ Throughput machinery (what makes sustained sweeps fast):
   by the job's :meth:`~SimJob.trace_signature` /
   :meth:`~SimJob.config_signature`, so evaluating six configurations on
   one benchmark generates the benchmark's trace once per worker, not six
-  times.  The serial path shares the same memo in the parent process.
+  times.  The serial path shares the same memo in the parent process and,
+  like the workers, runs same-trace jobs back to back.
 * **Chunked dispatch** — pending jobs are grouped (same-trace jobs
   adjacent) into roughly ``4 x workers`` chunks per batch, amortizing
   pickling and IPC round-trips over many jobs.
@@ -624,7 +625,7 @@ class JobExecutor:
         self.last_worker_pids = frozenset((os.getpid(),))
         max_attempts = 1 if policy == "fail_fast" \
             else self.retry.max_attempts
-        for index, (job, key) in enumerate(pending):
+        for index, (job, key) in _by_trace(pending):
             attempt = 1
             while True:
                 try:
@@ -678,9 +679,7 @@ class JobExecutor:
         # into ~CHUNKS_PER_WORKER x workers chunks.  The grouping is a
         # deterministic reorder of *execution*; returned results are
         # reassembled by index, so output order never changes.
-        indexed = list(enumerate(pending))
-        indexed.sort(key=lambda item: (_sort_token(item[1][0]), item[0]))
-        tasks = [(index, job) for index, (job, _) in indexed]
+        tasks = [(index, job) for index, (job, _) in _by_trace(pending)]
         chunks = _chunked(tasks, CHUNKS_PER_WORKER * self.jobs)
 
         max_attempts = 1 if policy == "fail_fast" \
@@ -988,6 +987,15 @@ def _describe(job) -> str:
         return repr(job.describe())
     except Exception:  # pragma: no cover - describe() itself failing
         return repr(job)
+
+
+def _by_trace(pending: Sequence[tuple[SimJob, str]]) -> list:
+    """``(index, (job, key))`` for ``pending``, same-trace jobs adjacent:
+    the bounded trace and compiled-trace memos would otherwise evict each
+    trace of a batch cycling through many before its next use."""
+    indexed = list(enumerate(pending))
+    indexed.sort(key=lambda item: (_sort_token(item[1][0]), item[0]))
+    return indexed
 
 
 def _sort_token(job) -> str:

@@ -190,8 +190,8 @@ class SimJob:
         generators are seeded), so a warm worker process can build the
         traces once and reuse them across every configuration evaluated on
         the same workload.  Simulations never mutate their input traces
-        (each :class:`~repro.cpu.core.TraceCore` flattens its own copy),
-        which is what makes sharing safe.
+        (cores share one read-only :func:`~repro.cpu.core.compile_trace`
+        form of each), which is what makes sharing safe.
         """
         if self.kind == "single-core":
             return ("single-core", self.benchmark, self.records_per_core)

@@ -1,7 +1,9 @@
 """Tests for the memory controller substrate and the processor-side models."""
 
+import hashlib
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,11 @@ from repro.core import FIGCache
 from repro.cpu import (CacheConfig, CacheHierarchy, CoreConfig,
                        HierarchyConfig, MSHRFile, SetAssociativeCache,
                        TraceCore)
+from repro.cpu.core import COMPILED_TRACE_CAPACITY, compile_trace
 from repro.dram import DRAMConfig, DRAMDevice
+from repro.sim.config import CONFIGURATION_NAMES, make_system_config
+from repro.sim.system import System
+from repro.workloads.catalog import BENCHMARKS
 from repro.workloads.trace import TraceRecord
 
 
@@ -287,6 +293,12 @@ class TestHierarchy:
         assert config.l1.size_bytes == 64 * 1024
         assert config.llc.size_bytes == 2 * 1024 * 1024
 
+    def test_levels_must_share_one_block_size(self):
+        with pytest.raises(ValueError, match="one block size"):
+            HierarchyConfig(l2=CacheConfig(size_bytes=64 * 1024,
+                                           associativity=8,
+                                           block_size_bytes=128))
+
 
 # ----------------------------------------------------------------------
 # Trace core.
@@ -383,6 +395,8 @@ class TestTraceCore:
 #: level, dirty LLC evictions, and blocks evicted from all three levels
 #: while their miss is still outstanding (the only way an MSHR merges).
 #: The second one gives L2 three sets, which takes the modulo set index.
+#: The third uses 128-byte blocks, so two 64-byte pool blocks share one
+#: cache block (and one MSHR).
 SMALL_HIERARCHIES = (
     HierarchyConfig(
         l1=CacheConfig(size_bytes=128, associativity=2),
@@ -394,10 +408,63 @@ SMALL_HIERARCHIES = (
         l2=CacheConfig(size_bytes=384, associativity=2, hit_latency_cycles=3),
         llc=CacheConfig(size_bytes=512, associativity=2,
                         hit_latency_cycles=8)),
+    HierarchyConfig(
+        l1=CacheConfig(size_bytes=256, associativity=2, block_size_bytes=128),
+        l2=CacheConfig(size_bytes=512, associativity=2, block_size_bytes=128,
+                       hit_latency_cycles=3),
+        llc=CacheConfig(size_bytes=1024, associativity=2,
+                        block_size_bytes=128, hit_latency_cycles=8)),
 )
 
 #: Distinct cache blocks the random traces draw their addresses from.
 ADDRESS_POOL_BLOCKS = 24
+
+
+def seeded_stream(seed=7, length=5000):
+    """(address, is_write) pairs over the address pool, 40% writes."""
+    rng = random.Random(seed)
+    return [(rng.randrange(ADDRESS_POOL_BLOCKS) * 64, rng.random() < 0.4)
+            for _ in range(length)]
+
+
+def hierarchy_record(hierarchy, stream):
+    """Every access's outcome, then the per-level and total counters."""
+    accesses = [hierarchy.access(address, is_write)
+                for address, is_write in stream]
+    return ([(access.level, access.exposed_latency, access.needs_memory,
+              access.writebacks) for access in accesses],
+            [(cache.hits, cache.misses, cache.writebacks)
+             for cache in (hierarchy.l1, hierarchy.l2, hierarchy.llc)],
+            hierarchy.accesses, hierarchy.llc_misses)
+
+
+#: sha256 of ``repr(hierarchy_record(...))`` for :func:`seeded_stream` on
+#: each of :data:`SMALL_HIERARCHIES`, recorded with the fused single-function
+#: L1/L2/LLC lookup that the per-level ``CacheHierarchy.access`` replaced.
+PINNED_HIERARCHY_DIGESTS = (
+    "351cf7d304b8519ea39048d7039eec0cc8dd71249811388fa590fe2abdfe2844",
+    "4a008e352c36e69f57371613faa5eebb74d312fc0eadca911d50f8562b32496a",
+    "70169730b387dada7078a80a50074fa80b08b7c348c93c21595e9bb449734d1c",
+)
+
+
+class TestHierarchyPinned:
+    @pytest.mark.parametrize("index", range(len(SMALL_HIERARCHIES)))
+    def test_access_by_access_outcomes_match_pinned_digest(self, index):
+        record = hierarchy_record(CacheHierarchy(SMALL_HIERARCHIES[index]),
+                                  seeded_stream())
+        assert hashlib.sha256(repr(record).encode()).hexdigest() \
+            == PINNED_HIERARCHY_DIGESTS[index]
+
+    def test_stream_drops_dirty_llc_victims_on_l2_hits(self):
+        """The pinned stream covers the L2-hit absorption rule: a dirty LLC
+        victim evicted by an L1-victim fill is dropped when the demand
+        access then hits in L2, so the LLC counts more dirty evictions than
+        the accesses surface."""
+        hierarchy = CacheHierarchy(SMALL_HIERARCHIES[0])
+        outcomes, _, _, _ = hierarchy_record(hierarchy, seeded_stream())
+        surfaced = sum(len(writebacks) for *_, writebacks in outcomes)
+        assert hierarchy.llc.writebacks - surfaced == 8
 
 trace_records = st.builds(
     TraceRecord,
@@ -438,11 +505,24 @@ class TestTraceCoreProperties:
         assert len(writes) == stats.writebacks
         assert mshrs.occupancy == 0
 
+        # The twin replays the first core's compiled trace.
+        reuses = compile_trace.cache_info().hits
         twin = TraceCore(0, trace, config)
         assert drive_core_to_completion(twin, latency) == stream
+        assert compile_trace.cache_info().hits == reuses + 1
         assert twin.stats == stats
         assert (twin.mshrs.allocations, twin.mshrs.merges) \
             == (mshrs.allocations, mshrs.merges)
+        for core_levels in zip((core.hierarchy.l1, core.hierarchy.l2,
+                                core.hierarchy.llc),
+                               (twin.hierarchy.l1, twin.hierarchy.l2,
+                                twin.hierarchy.llc)):
+            first, second = ((cache.hits, cache.misses, cache.writebacks,
+                              cache.occupancy()) for cache in core_levels)
+            assert second == first
+            assert first[3] == 0
+        assert (twin.hierarchy.accesses, twin.hierarchy.llc_misses) \
+            == (core.hierarchy.accesses, core.hierarchy.llc_misses)
 
     def test_address_pool_reaches_every_path(self):
         """The strategies above can produce every case the properties
@@ -458,3 +538,106 @@ class TestTraceCoreProperties:
         assert hierarchy.l1.hits and hierarchy.l2.hits and hierarchy.llc.hits
         assert core.stats.writebacks > 0
         assert core.mshrs.merges > 0
+
+    def test_mshrs_track_misses_at_the_cache_block_size(self):
+        """With 128-byte cache blocks, misses to both 64-byte halves of a
+        block share one MSHR, so a completion frees exactly the entry whose
+        outstanding misses it clears."""
+        config = CoreConfig(mshr_entries=4, hierarchy=SMALL_HIERARCHIES[2])
+        for seed in range(40):
+            rng = random.Random(seed)
+            trace = [TraceRecord(bubbles=rng.randint(0, 6),
+                                 address=rng.randrange(ADDRESS_POOL_BLOCKS)
+                                 * 64,
+                                 is_write=rng.random() < 0.4)
+                     for _ in range(200)]
+            core = TraceCore(0, trace, config)
+            drive_core_to_completion(core, latency=400)
+            assert core.mshrs.occupancy == 0
+
+
+# ----------------------------------------------------------------------
+# Compiled traces: one hierarchy pass per trace and process.
+# ----------------------------------------------------------------------
+class CountingAccess:
+    """Counts ``CacheHierarchy.access`` calls while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = CacheHierarchy.access
+
+        def access(hierarchy, address, is_write):
+            self.calls += 1
+            return original(hierarchy, address, is_write)
+
+        monkeypatch.setattr(CacheHierarchy, "access", access)
+
+
+@pytest.fixture(scope="module")
+def catalog_trace():
+    """An intensive catalog trace long enough for dirty LLC evictions."""
+    return BENCHMARKS["mcf"].make_trace(3000, seed_offset=1)
+
+
+class TestCompiledTraces:
+    @pytest.mark.parametrize("name", CONFIGURATION_NAMES)
+    def test_warm_run_matches_cold_and_skips_the_hierarchy(
+            self, name, catalog_trace, monkeypatch):
+        counter = CountingAccess(monkeypatch)
+        config = make_system_config(name)
+        compile_trace.cache_clear()
+        cold = System(config, [catalog_trace]).run("mcf").to_dict()
+        assert counter.calls == len(catalog_trace)
+        counter.calls = 0
+        warm = System(config, [catalog_trace]).run("mcf").to_dict()
+        assert counter.calls == 0
+        assert warm == cold
+        assert cold["memory_writes"] > 0
+
+    def test_records_are_keyed_by_contents(self, monkeypatch):
+        """Equal records in another list reuse a compilation; the same list
+        mutated in place compiles afresh."""
+        counter = CountingAccess(monkeypatch)
+        compile_trace.cache_clear()
+        trace = simple_trace(40, write_every=3)
+        drive_core_to_completion(TraceCore(0, trace))
+        copy = [TraceRecord(record.bubbles, record.address, record.is_write)
+                for record in trace]
+        drive_core_to_completion(TraceCore(0, copy))
+        assert counter.calls == len(trace)
+        trace[7] = TraceRecord(bubbles=10, address=0x7F000, is_write=False)
+        drive_core_to_completion(TraceCore(0, trace))
+        assert counter.calls == 2 * len(trace)
+
+    def test_any_input_change_compiles_afresh(self):
+        compile_trace.cache_clear()
+        trace = simple_trace(40, write_every=3)
+        base = CoreConfig()
+        hierarchy = base.hierarchy
+        moved = list(trace)
+        moved[3] = replace(moved[3], address=moved[3].address + 64)
+        variants = [
+            (trace, base),
+            (moved, base),
+            (trace, replace(base, issue_width=base.issue_width + 1)),
+            (trace, replace(base, hierarchy=replace(
+                hierarchy, l2=replace(hierarchy.l2, hit_latency_cycles=
+                                      hierarchy.l2.hit_latency_cycles
+                                      + 1)))),
+        ]
+        for compiles, (records, config) in enumerate(variants, start=1):
+            drive_core_to_completion(TraceCore(0, records, config))
+            assert compile_trace.cache_info().misses == compiles
+        # A window, MSHR count or core id never changes the hierarchy pass.
+        drive_core_to_completion(TraceCore(
+            3, trace, replace(base, window_size=32, mshr_entries=2)))
+        assert compile_trace.cache_info().misses == len(variants)
+
+    def test_memo_never_exceeds_its_bound(self):
+        compile_trace.cache_clear()
+        for index in range(COMPILED_TRACE_CAPACITY + 5):
+            trace = simple_trace(5, stride=4096 + 64 * index)
+            drive_core_to_completion(TraceCore(0, trace))
+            assert compile_trace.cache_info().currsize \
+                == min(index + 1, COMPILED_TRACE_CAPACITY)
+        assert compile_trace.cache_info().maxsize == COMPILED_TRACE_CAPACITY

@@ -12,6 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.cli import main
+from repro.cpu.core import COMPILED_TRACE_CAPACITY, compile_trace
 from repro.experiments import engine
 from repro.experiments.engine import (JobExecutionError, JobExecutor,
                                       ResultCache, SimJob, cache_salt)
@@ -21,6 +22,7 @@ from repro.experiments.figures import figure9_cache_hit_rate
 from repro.experiments.runner import geometric_mean
 from repro.sim.config import config_digest, make_system_config
 from repro.sim.metrics import SimulationResult
+from repro.workloads.catalog import benchmark_names
 from repro.workloads.multiprogram import make_multiprogrammed_workload
 
 TINY = ExperimentScale.tiny()
@@ -416,6 +418,20 @@ class TestWarmPool:
         executor.run(_tiny_jobs("gcc", "mcf"))
         assert not executor.pool_active
         assert executor.last_worker_pids == frozenset((os.getpid(),))
+
+    def test_serial_runs_same_trace_jobs_back_to_back(self):
+        """A batch submitted configuration by configuration over more
+        traces than the compiled-trace memo holds still compiles each trace
+        once, and results come back in submission order."""
+        names = benchmark_names(True) + benchmark_names(False)
+        assert len(names) > COMPILED_TRACE_CAPACITY
+        jobs = [SimJob.single_core(configuration, name, TINY)
+                for configuration in ("Base", "LL-DRAM") for name in names]
+        compile_trace.cache_clear()
+        with JobExecutor(cache=ResultCache(), jobs=1) as executor:
+            results = executor.run(jobs)
+        assert list(results) == jobs
+        assert compile_trace.cache_info().misses == len(names)
 
 
 class TestChunking:
