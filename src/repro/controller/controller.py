@@ -19,8 +19,7 @@ from repro.dram.device import DRAMDevice
 class MemoryController:
     """All per-channel controllers plus request routing."""
 
-    __slots__ = ('_device', 'channel_controllers', '_route_cache',
-                 '_controllers_tuple')
+    __slots__ = ('_device', 'channel_controllers', '_controllers_tuple')
 
     def __init__(self, device: DRAMDevice,
                  mechanisms: list[CachingMechanism],
@@ -34,14 +33,6 @@ class MemoryController:
             ChannelController(channel, mechanism, scheduler_config)
             for channel, mechanism in zip(device.channels, mechanisms)
         ]
-        #: Routing results memoized per block address: every request to the
-        #: same block decodes to the same coordinates, flat bank, and
-        #: channel, so repeated traffic skips the decode/flat-bank work.
-        #: Unbounded by design — its size is the workload's block
-        #: footprint, which the trace generators keep far below DRAM
-        #: capacity.  Revisit with an LRU bound if trace footprints ever
-        #: approach memory size.
-        self._route_cache: dict[int, tuple] = {}
         #: Tuple copy for the per-event wake-up scan (tuple iteration is
         #: slightly cheaper than list iteration, and the set of channels
         #: never changes).
@@ -53,34 +44,18 @@ class MemoryController:
         return self._device
 
     def route(self, request: MemoryRequest) -> ChannelController:
-        """Decode the request's address and return its channel controller."""
-        entry = self._route_cache.get(request.address)
-        if entry is None:
-            decoded = self._device.decode(request.address)
-            flat_bank = self._device.flat_bank(decoded)
-            entry = (decoded, flat_bank,
-                     self.channel_controllers[decoded.channel])
-            self._route_cache[request.address] = entry
-        request.decoded = entry[0]
-        request.flat_bank = entry[1]
-        return entry[2]
+        """Decode the request's address and return its channel controller.
+
+        Routes come from :meth:`AddressMapper.route`, memoized process-wide
+        per address-mapping geometry.
+        """
+        request.decoded, request.flat_bank, channel = \
+            self._device.mapper.route(request.address)
+        return self.channel_controllers[channel]
 
     def enqueue(self, request: MemoryRequest, now: int) -> list[MemoryRequest]:
-        """Route and enqueue a request; returns newly completed requests.
-
-        Routing is inlined (one cache probe) rather than delegated to
-        :meth:`route` — this runs once per memory request.
-        """
-        entry = self._route_cache.get(request.address)
-        if entry is None:
-            decoded = self._device.decode(request.address)
-            flat_bank = self._device.flat_bank(decoded)
-            entry = (decoded, flat_bank,
-                     self.channel_controllers[decoded.channel])
-            self._route_cache[request.address] = entry
-        request.decoded = entry[0]
-        request.flat_bank = entry[1]
-        return entry[2].enqueue(request, now)
+        """Route and enqueue a request; returns newly completed requests."""
+        return self.route(request).enqueue(request, now)
 
     def wake(self, now: int) -> list[MemoryRequest]:
         """Give every channel a chance to issue requests at cycle ``now``."""

@@ -12,9 +12,24 @@ memory system.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from repro.dram.config import DRAMConfig
+
+#: Routes memoized across every geometry in the process (about 14 MB when
+#: full); a miss that would exceed it first clears every memo in place.
+ROUTE_CAPACITY = 1 << 16
+
+#: The process-wide route memo: one ``{address: (decoded, flat_bank,
+#: channel)}`` dict per mapping geometry.  Module state is sound only because
+#: a route is a pure function of (geometry, address).  Dicts are cleared in
+#: place and never rebound, so references a running simulator hoisted stay
+#: valid.  The lock guards the check-then-insert of a miss and ``_stored``
+#: (routes held over all geometries); reads take none.
+_ROUTES: dict[tuple[int, ...], dict[int, tuple[DecodedAddress, int, int]]] = {}
+_ROUTES_LOCK = threading.Lock()
+_stored = 0
 
 
 def _log2_exact(value: int, name: str) -> int:
@@ -30,8 +45,9 @@ class DecodedAddress:
 
     The flat bank index within a channel depends on the configuration, so it
     is computed by :meth:`AddressMapper.flat_bank` rather than stored here.
-    Instances are immutable; the memory controller interns one per distinct
-    address, shared by every request that touches the block.
+    Instances are immutable; :meth:`AddressMapper.route` interns one per
+    distinct address and geometry, shared by every request that touches the
+    block in any system of the process.
     """
 
     channel: int
@@ -69,6 +85,17 @@ class AddressMapper:
         self._rows = config.regular_rows_per_bank
         self._banks_per_rank = config.banks_per_rank
         self._banks_per_bankgroup = config.banks_per_bankgroup
+        # The key is the nine values decode and flat_bank read.  Timings and
+        # fast subarrays (appended after the regular rows) never move a
+        # route, so all paper configurations and DDR4 speed grades at one
+        # channel count share one memo.
+        geometry = (self._offset_bits, self._column_bits, self._channel_bits,
+                    self._bank_bits, self._bankgroup_bits, self._rank_bits,
+                    self._rows, self._banks_per_rank,
+                    self._banks_per_bankgroup)
+        with _ROUTES_LOCK:
+            #: This geometry's shared route memo; only :meth:`route` writes.
+            self.routes = _ROUTES.setdefault(geometry, {})
 
     @property
     def config(self) -> DRAMConfig:
@@ -78,9 +105,9 @@ class AddressMapper:
     def decode(self, address: int) -> DecodedAddress:
         """Decode a byte address into DRAM coordinates.
 
-        The memory controller memoizes decode results per address (see
-        ``MemoryController._route_cache``), so each distinct address is
-        decoded once per simulation on the hot path.
+        The simulation hot path goes through :meth:`route`, which memoizes
+        this per geometry, so each distinct address is decoded once per
+        process while it stays in the memo.
         """
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
@@ -97,8 +124,34 @@ class AddressMapper:
         rank = bits & ((1 << self._rank_bits) - 1) if self._rank_bits else 0
         bits >>= self._rank_bits
         row = bits % self._rows
-        return DecodedAddress(channel=channel, rank=rank, bankgroup=bankgroup,
-                              bank=bank, row=row, column_block=column)
+        # Positional (field order): a third cheaper than keywords per miss.
+        return DecodedAddress(channel, rank, bankgroup, bank, row, column)
+
+    def route(self, address: int) -> tuple[DecodedAddress, int, int]:
+        """Return ``(decoded, flat_bank, channel)`` for a byte address.
+
+        Memoized in :attr:`routes`, shared by every mapper of this geometry;
+        a negative address raises before anything is stored.
+        """
+        global _stored
+        routes = self.routes
+        entry = routes.get(address)
+        if entry is None:
+            decoded = self.decode(address)
+            entry = (decoded, self.flat_bank(decoded), decoded.channel)
+            # acquire/release rather than ``with``: half the cost per miss.
+            _ROUTES_LOCK.acquire()
+            try:
+                if address not in routes:
+                    if _stored >= ROUTE_CAPACITY:
+                        for memo in _ROUTES.values():
+                            memo.clear()
+                        _stored = 0
+                    routes[address] = entry
+                    _stored += 1
+            finally:
+                _ROUTES_LOCK.release()
+        return entry
 
     def encode(self, decoded: DecodedAddress) -> int:
         """Re-encode DRAM coordinates into a byte address (block aligned)."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.dram.address import AddressMapper, DecodedAddress
+from repro.dram.address import AddressMapper
 from repro.dram.channel import Channel
 from repro.dram.config import DRAMConfig
 
@@ -29,14 +29,6 @@ class DRAMDevice:
     def channel(self, channel_id: int) -> Channel:
         """Return one channel by index."""
         return self.channels[channel_id]
-
-    def decode(self, address: int) -> DecodedAddress:
-        """Decode a byte address into DRAM coordinates."""
-        return self.mapper.decode(address)
-
-    def flat_bank(self, decoded: DecodedAddress) -> int:
-        """Flat bank index of a decoded address within its channel."""
-        return self.mapper.flat_bank(decoded)
 
     def total_counters(self):
         """Merge command counters across channels into a fresh instance."""

@@ -163,8 +163,13 @@ class Simulator:
         #: the MemoryController fan-out entirely.
         single_controller = controller.channel_controllers[0] \
             if len(controller.channel_controllers) == 1 else None
-        route_cache = controller._route_cache
-        controller_route = controller.route
+        #: The shared route memo of this device's geometry, probed inline;
+        #: a miss goes through AddressMapper.route, its only writer.  The
+        #: memo is cleared in place when full, never rebound, so this
+        #: reference stays live for the whole run.
+        routes = controller.device.mapper.routes
+        route_miss = controller.device.mapper.route
+        channel_controllers = controller.channel_controllers
         processed = self.processed_events
         telemetry = self._telemetry
         #: Next telemetry epoch boundary; with telemetry off the sentinel
@@ -192,13 +197,12 @@ class Simulator:
 
             if kind == _REQUEST_ARRIVAL:
                 # Inline MemoryController.enqueue (route probe + delegate).
-                entry = route_cache.get(payload.address)
+                entry = routes.get(payload.address)
                 if entry is None:
-                    channel_controller = controller_route(payload)
-                else:
-                    payload.decoded, payload.flat_bank, channel_controller \
-                        = entry
-                completed = channel_controller.enqueue(payload, cycle)
+                    entry = route_miss(payload.address)
+                payload.decoded, payload.flat_bank, channel = entry
+                completed = channel_controllers[channel].enqueue(payload,
+                                                                 cycle)
                 # Deliver read completions; a core they unblock gets a
                 # CORE_RUN at the completion cycle.
                 for request in completed:

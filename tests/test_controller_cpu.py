@@ -2,8 +2,11 @@
 
 import hashlib
 import random
+import sys
+import threading
 from collections import deque
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,9 @@ from repro.cpu import (CacheConfig, CacheHierarchy, CoreConfig,
                        HierarchyConfig, MSHRFile, SetAssociativeCache,
                        TraceCore)
 from repro.cpu.core import COMPILED_TRACE_CAPACITY, compile_trace
-from repro.dram import DRAMConfig, DRAMDevice
+from repro.dram import AddressMapper, DRAMConfig, DRAMDevice
+from repro.dram import address as address_module
+from repro.dram.standards import STANDARD_NAMES
 from repro.sim.config import CONFIGURATION_NAMES, make_system_config
 from repro.sim.system import System
 from repro.workloads.catalog import BENCHMARKS
@@ -38,9 +43,7 @@ def make_controller(mechanism_name="base", channels=1):
 def make_request(device, address, is_write=False, core_id=0, arrival=0):
     request = MemoryRequest(core_id=core_id, address=address,
                             is_write=is_write, arrival_cycle=arrival)
-    decoded = device.decode(address)
-    request.decoded = decoded
-    request.flat_bank = device.flat_bank(decoded)
+    request.decoded, request.flat_bank, _ = device.mapper.route(address)
     return request
 
 
@@ -641,3 +644,244 @@ class TestCompiledTraces:
             assert compile_trace.cache_info().currsize \
                 == min(index + 1, COMPILED_TRACE_CAPACITY)
         assert compile_trace.cache_info().maxsize == COMPILED_TRACE_CAPACITY
+
+
+# ----------------------------------------------------------------------
+# Shared routes: one decode per block address, geometry and process.
+# ----------------------------------------------------------------------
+#: Every catalog standard at 1, 2 and 4 channels, plus a two-rank geometry
+#: (the catalog is all single-rank, so rank bits are otherwise untested).
+ROUTE_GEOMETRIES = [
+    make_system_config("Base", channels=channels, standard=standard).dram
+    for standard in STANDARD_NAMES for channels in (1, 2, 4)
+] + [make_system_config("Base", channels=2,
+                        dram_overrides={"ranks_per_channel": 2}).dram]
+
+
+def clear_routes():
+    with address_module._ROUTES_LOCK:
+        for memo in address_module._ROUTES.values():
+            memo.clear()
+        address_module._stored = 0
+
+
+def stored_routes():
+    with address_module._ROUTES_LOCK:
+        return sum(map(len, address_module._ROUTES.values()))
+
+
+def routing_controller(dram):
+    device = DRAMDevice(dram, refresh_enabled=False)
+    return MemoryController(device, [BaseMechanism()
+                                     for _ in device.channels])
+
+
+def assert_routed_like_a_fresh_decode(controller, address):
+    request = MemoryRequest(0, address, False, 0)
+    chosen = controller.route(request)
+    mapper = AddressMapper(controller.device.config)
+    decoded = mapper.decode(address)
+    assert request.decoded == decoded
+    assert request.flat_bank == mapper.flat_bank(decoded)
+    assert chosen is controller.channel_controllers[decoded.channel]
+
+
+class CountingDecode:
+    """Counts ``AddressMapper.decode`` calls while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = AddressMapper.decode
+
+        def decode(mapper, address):
+            self.calls += 1
+            return original(mapper, address)
+
+        monkeypatch.setattr(AddressMapper, "decode", decode)
+
+
+class TestSharedRoutes:
+    @given(geometries=st.tuples(st.sampled_from(ROUTE_GEOMETRIES),
+                                st.sampled_from(ROUTE_GEOMETRIES)),
+           addresses=st.lists(st.integers(min_value=0, max_value=1 << 40),
+                              min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_routes_match_a_fresh_decode(self, geometries, addresses):
+        """Cold, warm, then two geometries interleaved on one address set."""
+        first, second = (routing_controller(dram) for dram in geometries)
+        clear_routes()
+        for _ in range(2):
+            for address in addresses:
+                assert_routed_like_a_fresh_decode(first, address)
+        for _ in range(2):
+            for address in addresses:
+                assert_routed_like_a_fresh_decode(second, address)
+                assert_routed_like_a_fresh_decode(first, address)
+
+    @given(dram=st.sampled_from(ROUTE_GEOMETRIES),
+           address=st.integers(max_value=-1))
+    @settings(max_examples=30, deadline=None)
+    def test_negative_address_raises_and_stores_nothing(self, dram,
+                                                        address):
+        controller = routing_controller(dram)
+        clear_routes()
+        with pytest.raises(ValueError):
+            controller.route(MemoryRequest(0, address, False, 0))
+        assert stored_routes() == 0
+
+    @pytest.mark.parametrize("name", CONFIGURATION_NAMES)
+    def test_warm_run_matches_cold_and_decodes_nothing(
+            self, name, catalog_trace, monkeypatch):
+        counter = CountingDecode(monkeypatch)
+        config = make_system_config(name)
+        clear_routes()
+        cold = System(config, [catalog_trace]).run("mcf").to_dict()
+        assert counter.calls > 0
+        counter.calls = 0
+        warm = System(config, [catalog_trace]).run("mcf").to_dict()
+        assert counter.calls == 0
+        assert warm == cold
+
+    @pytest.mark.parametrize("name,channels",
+                             (("Base", 1), ("FIGCache-Fast", 2)))
+    def test_tiny_bound_keeps_results_and_is_never_exceeded(
+            self, name, channels, catalog_trace, monkeypatch):
+        config = make_system_config(name, channels=channels)
+        clear_routes()
+        expected = System(config, [catalog_trace]).run("mcf").to_dict()
+        monkeypatch.setattr(address_module, "ROUTE_CAPACITY", 64)
+        clear_routes()
+        original = AddressMapper.route
+        most = 0
+
+        def route(mapper, address):
+            nonlocal most
+            entry = original(mapper, address)
+            most = max(most, stored_routes())
+            return entry
+
+        monkeypatch.setattr(AddressMapper, "route", route)
+        assert System(config, [catalog_trace]).run("mcf").to_dict() \
+            == expected
+        assert 0 < most <= 64
+
+    @pytest.mark.parametrize("name", CONFIGURATION_NAMES)
+    def test_every_paper_configuration_routes_through_one_memo(
+            self, name, monkeypatch):
+        """Fast subarrays and timings never key the memo: a route Base
+        stored is the route every configuration reads, with no decode."""
+        base = AddressMapper(make_system_config("Base", channels=2).dram)
+        other = AddressMapper(make_system_config(name, channels=2).dram)
+        assert other.routes is base.routes
+        clear_routes()
+        entry = base.route(0x1234_5640)
+        counter = CountingDecode(monkeypatch)
+        assert other.route(0x1234_5640) is entry
+        assert counter.calls == 0
+
+    def test_ddr4_speed_grades_share_one_memo(self):
+        for channels in (1, 2, 4):
+            memos = {id(AddressMapper(make_system_config(
+                "Base", channels=channels, standard=standard).dram).routes)
+                for standard in ("DDR4-1600", "DDR4-2400", "DDR4-3200")}
+            assert len(memos) == 1
+
+    def test_geometries_share_a_memo_exactly_when_their_routes_agree(self):
+        rng = random.Random(15)
+        addresses = [rng.randrange(1 << 40) for _ in range(200)]
+        mappers = [AddressMapper(dram) for dram in ROUTE_GEOMETRIES]
+        routes = [[(decoded, mapper.flat_bank(decoded))
+                   for decoded in map(mapper.decode, addresses)]
+                  for mapper in mappers]
+        for first, second in combinations(range(len(mappers)), 2):
+            shared = mappers[first].routes is mappers[second].routes
+            assert shared == (routes[first] == routes[second])
+
+    def test_only_route_writes_the_memo(self):
+        mapper = AddressMapper(make_system_config("Base").dram)
+        clear_routes()
+        for address in range(0, 64 * 100, 64):
+            mapper.decode(address)
+            mapper.flat_bank(mapper.decode(address))
+        assert stored_routes() == 0
+        mapper.route(0)
+        assert stored_routes() == 1
+
+    def test_full_memo_clears_every_geometry_in_place(self, monkeypatch):
+        """The miss past the bound empties every memo without rebinding
+        one, so a reference hoisted before it still sees later routes."""
+        monkeypatch.setattr(address_module, "ROUTE_CAPACITY", 4)
+        one, two = (AddressMapper(make_system_config("Base",
+                                                     channels=channels).dram)
+                    for channels in (1, 2))
+        held = one.routes, two.routes
+        clear_routes()
+        for address in range(0, 4 * 64, 64):
+            (one if address % 128 else two).route(address)
+        assert stored_routes() == 4
+        entry = one.route(1 << 20)
+        assert one.routes is held[0] and two.routes is held[1]
+        assert held[0] == {1 << 20: entry} and held[1] == {}
+        assert address_module._stored == 1
+
+    def test_enqueue_routes_through_the_shared_memo(self, monkeypatch):
+        """enqueue takes route's path: controllers of one geometry decode an
+        address once between them, and each queues it on its channel."""
+        dram = make_system_config("Base", channels=4).dram
+        controllers = [routing_controller(dram) for _ in range(2)]
+        address = 0x1234_5640
+        expected = AddressMapper(dram).decode(address)
+        clear_routes()
+        counter = CountingDecode(monkeypatch)
+        for controller in controllers:
+            request = MemoryRequest(0, address, True, 0)
+            assert controller.enqueue(request, 0) == []
+            assert request.decoded == expected
+            assert [channel.write_queue_occupancy
+                    for channel in controller.channel_controllers] \
+                == [int(index == expected.channel) for index in range(4)]
+        assert counter.calls == 1
+
+    def test_threads_share_a_bounded_memo(self, monkeypatch):
+        """More threads than CPUs route two geometries' addresses through a
+        64-route memo that keeps clearing: every route must equal a fresh
+        decode, and no thread may see more than 64 routes stored."""
+        monkeypatch.setattr(address_module, "ROUTE_CAPACITY", 64)
+        clear_routes()
+        drams = [make_system_config("Base", channels=4).dram,
+                 make_system_config("Base", channels=4,
+                                    standard="LPDDR4-3200").dram]
+        failures = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            mappers = [AddressMapper(dram) for dram in drams]
+            try:
+                for _ in range(4000):
+                    mapper = rng.choice(mappers)
+                    address = rng.randrange(256) * 4096 + rng.randrange(64)
+                    decoded = AddressMapper(mapper.config).decode(address)
+                    expected = (decoded, mapper.flat_bank(decoded),
+                                decoded.channel)
+                    if mapper.route(address) != expected:
+                        failures.append(f"route of {address:#x} differs")
+                    if stored_routes() > 64:
+                        failures.append("memo above its bound")
+            except Exception as exc:  # reported by the assertion below
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        # A lost update of the shared count would leave it off the truth.
+        assert address_module._stored == stored_routes()

@@ -370,9 +370,8 @@ class TestChannelAndDevice:
 
     def test_device_counters_merge(self):
         device = DRAMDevice(DRAMConfig(channels=2), refresh_enabled=False)
-        decoded = device.decode(0)
-        device.channel(0).access(0, device.flat_bank(decoded), decoded.row,
-                                 False)
+        decoded, flat_bank, _ = device.mapper.route(0)
+        device.channel(0).access(0, flat_bank, decoded.row, False)
         total = device.total_counters()
         assert total.reads == 1
         assert total.activates == 1

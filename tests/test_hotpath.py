@@ -83,8 +83,7 @@ def _make_channel(scheduler_config=None):
 
 def _request(device, address, is_write=False, arrival=0):
     request = MemoryRequest(0, address, is_write, arrival)
-    request.decoded = device.decode(address)
-    request.flat_bank = device.flat_bank(request.decoded)
+    request.decoded, request.flat_bank, _ = device.mapper.route(address)
     return request
 
 
