@@ -333,16 +333,11 @@ class ChannelController:
                            force_writes: bool = False) -> list[MemoryRequest]:
         """Issue as many requests as the bank allows starting at ``now``."""
         completed: list[MemoryRequest] = []
-        channel = self._channel
-        bank = channel.bank(flat_bank)
+        bank = self._channel.bank(flat_bank)
         reads_by_bank = self._reads_by_bank
         writes_by_bank = self._writes_by_bank
         pick = self._scheduler.pick
         row_of = self._row_of
-        direct_access = self._direct_access
-        read_latencies = self.read_latencies
-        write_latencies = self.write_latencies
-        tracer = self.tracer
         # Every mechanism reports the bank's post-service readiness in
         # ``ServiceResult.bank_busy_until``, so only the first iteration
         # reads the bank's ``ready_for_next``.
@@ -379,44 +374,7 @@ class ChannelController:
             if request is None:
                 break
             self._dequeue(request)
-            # Inline copy of _service (one call per serviced request
-            # saved) — KEEP IN SYNC with the _service method, which the
-            # enqueue fast path uses.  For direct-access mechanisms (no
-            # in-DRAM cache) the service is exactly one column access, so
-            # the mechanism dispatch and the ServiceResult wrapper are
-            # skipped as well.
-            is_write = request.is_write
-            if direct_access:
-                access = channel.access(now, flat_bank, request.decoded.row,
-                                        is_write)
-                completion_cycle = access.completion_cycle
-                request.issue_cycle = now
-                request.completion_cycle = completion_cycle
-                request.in_dram_cache_hit = None
-                request.row_buffer_outcome = access.outcome
-                request.served_fast = access.served_fast
-                ready_at = access.bank_ready_cycle
-            else:
-                result = self._mechanism.service(channel, now,
-                                                 request.decoded, flat_bank,
-                                                 is_write)
-                completion_cycle = result.completion_cycle
-                request.issue_cycle = now
-                request.completion_cycle = completion_cycle
-                request.in_dram_cache_hit = result.in_dram_cache_hit
-                request.row_buffer_outcome = result.row_buffer_outcome
-                request.served_fast = result.served_fast
-                ready_at = result.bank_busy_until
-            latency = completion_cycle - request.arrival_cycle
-            if is_write:
-                self.completed_writes += 1
-                write_latencies[latency] = \
-                    write_latencies.get(latency, 0) + 1
-            else:
-                self.completed_reads += 1
-                read_latencies[latency] = read_latencies.get(latency, 0) + 1
-            if tracer is not None:
-                tracer.request_serviced(request)
+            ready_at = self._service(request, now)
             completed.append(request)
         return completed
 
@@ -427,8 +385,10 @@ class ChannelController:
     def _service(self, request: MemoryRequest, now: int) -> int:
         """Service one picked request; returns the bank's next ready cycle.
 
-        KEEP IN SYNC with the inline copy in :meth:`_try_schedule_bank`
-        (inlined there because it runs once per serviced request).
+        The one service path: the scheduling loop and the enqueue fast path
+        both call it.  For direct-access mechanisms (no in-DRAM cache) the
+        service is exactly one column access, so the mechanism dispatch and
+        the ServiceResult wrapper are skipped.
         """
         if self._direct_access:
             access = self._channel.access(now, request.flat_bank,

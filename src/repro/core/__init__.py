@@ -1,8 +1,11 @@
-"""The paper's primary contribution: FIGARO and FIGCache.
+"""The paper's primary contribution: FIGCache, the cache built on FIGARO.
 
-* :mod:`repro.core.figaro` — the FIGARO relocation engine: column-granularity
-  (cache-block) data relocation across subarrays of a bank through the global
-  row buffer, with distance-independent latency.
+FIGARO's RELOC command sequence (column-granularity, distance-independent
+relocation across the subarrays of a bank through the global row buffer) is
+modelled in :meth:`repro.dram.bank.Bank.relocate`, entered through
+:meth:`repro.dram.channel.Channel.relocate`.  This package holds the
+controller side:
+
 * :mod:`repro.core.tag_store` — the FIGCache Tag Store (FTS) kept in the
   memory controller.
 * :mod:`repro.core.replacement` — cache replacement policies (RowBenefit,
@@ -15,7 +18,6 @@
   baselines.
 """
 
-from repro.core.figaro import FigaroEngine, RelocationRequest
 from repro.core.figcache import FIGCache, FIGCacheConfig
 from repro.core.insertion import (InsertAnyMissPolicy, InsertionPolicy,
                                   MissCountThresholdPolicy)
@@ -32,14 +34,12 @@ __all__ = [
     "FIGCache",
     "FIGCacheConfig",
     "FigTagStore",
-    "FigaroEngine",
     "InsertAnyMissPolicy",
     "InsertionPolicy",
     "LRUReplacement",
     "MechanismStats",
     "MissCountThresholdPolicy",
     "RandomReplacement",
-    "RelocationRequest",
     "ReplacementPolicy",
     "RowBenefitReplacement",
     "SegmentBenefitReplacement",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.figaro import FigaroEngine
 from repro.core.insertion import InsertionPolicy, make_insertion_policy
 from repro.core.mechanism import CachingMechanism, ServiceResult
 from repro.core.replacement import ReplacementPolicy, make_replacement_policy
@@ -107,7 +106,6 @@ class FIGCache(CachingMechanism):
         self._dram = dram_config
         self._cfg = cache_config or FIGCacheConfig()
         self._cfg.validate(dram_config)
-        self._figaro = FigaroEngine(dram_config)
         self._segment_blocks = self._cfg.segment_blocks
         self._ideal_placement = self._cfg.placement == "ideal"
         self._segments_per_source_row = (dram_config.blocks_per_row
@@ -169,28 +167,12 @@ class FIGCache(CachingMechanism):
             (row, decoded.column_block // self._segment_blocks))
         if slot is None:
             return row
-        # Inline _prefer_source_row: clean cached copy + source row open.
+        # A clean cached copy equals its source row, so while the source
+        # row is open it is served from there as a row hit (see service).
         if not tags._entries[slot].dirty \
                 and channel.bank(flat_bank).open_row == row:
             return row
         return bank_cache.cache_row_ids[slot // tags._segments_per_row]
-
-    def _prefer_source_row(self, channel: Channel, decoded: DecodedAddress,
-                           flat_bank: int, entry) -> bool:
-        """Serve a cached segment from its source row when that row is open.
-
-        The FTS lookup happens when the request is scheduled, at which point
-        the memory controller knows which row the bank has open.  If the
-        original (source) row is still open and the cached copy is clean,
-        the two copies are identical and serving the request as a row hit
-        from the source row is both correct and faster than re-opening the
-        cache row.  This mainly avoids penalising the accesses that follow a
-        segment's insertion, whose source row the demand miss just opened.
-        """
-        if entry.dirty:
-            return False
-        bank = channel.bank(flat_bank)
-        return bank.open_row == decoded.row
 
     def service(self, channel: Channel, now: int, decoded: DecodedAddress,
                 flat_bank: int, is_write: bool) -> ServiceResult:
@@ -218,9 +200,13 @@ class FIGCache(CachingMechanism):
             entry.last_touch = tags._touch_counter
             if is_write:
                 entry.dirty = True
-            # Inline _prefer_source_row: the source row is still open and
-            # the cached copy is clean, so serve the request as a row hit
-            # from the source row.
+            # Serve a clean cached segment from its source row while that
+            # row is open: the FTS lookup happens at schedule time, when
+            # the controller knows the open row, and the two copies are
+            # identical, so a row hit there is both correct and faster than
+            # re-opening the cache row.  This mainly helps the accesses
+            # that follow an insertion, whose source row the demand miss
+            # just opened.  A write dirties the copy and goes to the cache.
             if not is_write and not entry.dirty \
                     and channel.bank(flat_bank).open_row == row:
                 target_row = row
@@ -274,11 +260,6 @@ class FIGCache(CachingMechanism):
         if not self._ideal_placement:
             cache_row = bank_cache.cache_row_ids[
                 slot // tags._segments_per_row]
-            # Inline FigaroEngine.relocate with validate=False: the request
-            # is valid by construction, and the channel's timing model only
-            # needs the rows and block count, so the RelocationRequest /
-            # RelocationOutcome wrappers would be built just to be unpacked
-            # again on this per-miss path.
             result = channel.relocate(current, flat_bank, source_row,
                                       cache_row, self._segment_blocks,
                                       keep_source_open=True)
@@ -315,7 +296,6 @@ class FIGCache(CachingMechanism):
         if victim.dirty and not self._ideal_placement:
             cache_row = bank_cache.cache_row_ids[
                 victim_slot // tags._segments_per_row]
-            # Inline FigaroEngine.relocate, as on the insert path above.
             result = channel.relocate(current, flat_bank, cache_row,
                                       victim.source_row,
                                       self._segment_blocks)

@@ -8,10 +8,12 @@ may be issued (tRP, tRC).
 
 The model is event-driven: :meth:`Bank.access` is called by the memory
 controller with the cycle at which it wants to start the access, and returns
-when the data transfer completes and which row-buffer outcome occurred.  The
-FIGARO relocation path is modelled by :meth:`Bank.relocate`, which occupies
-the bank for the ACT / RELOC xN / ACT / PRE sequence described in the paper's
-Section 4.2.
+when the data transfer completes and which row-buffer outcome occurred.
+Every in-bank relocation runs through :meth:`Bank.relocate`, which occupies
+the bank for the ACT / transfer / ACT / PRE sequence described in the
+paper's Section 4.2.  Two transfer terms use it: FIGARO's one RELOC per
+cache block (distance independent) and LISA-VILLA's hop-by-hop row copy
+(growing with the distance between subarrays).
 """
 
 from __future__ import annotations
@@ -49,24 +51,21 @@ class AccessResult:
 
 @dataclass(slots=True)
 class RelocationResult:
-    """Outcome of relocating one row segment with FIGARO RELOC commands."""
+    """Outcome of one in-bank relocation (:meth:`Bank.relocate`)."""
 
     #: Cycle at which the relocation sequence started.
     start_cycle: int
     #: Cycle at which the bank becomes available again.
     completion_cycle: int
-    #: Number of RELOC commands issued (one per cache block).
+    #: Number of RELOC commands issued (one per cache block for FIGARO,
+    #: none for a bulk row copy).
     reloc_commands: int
-    #: Number of ACTIVATE commands issued by the sequence.
-    activates: int
-    #: Number of PRECHARGE commands issued by the sequence.
-    precharges: int
 
 
 class Bank:
     """Timing state for one DRAM bank (shared across the chips of a rank)."""
 
-    __slots__ = ('_config', '_rank', '_key', '_counters', '_slow', '_fast',
+    __slots__ = ('_rank', '_key', '_counters', '_slow', '_fast',
                  '_all_fast', '_regular_rows', '_trrd', '_tfaw',
                  '_bg_index', '_col_pacing', '_tccd_s_rank', '_tccd_l_rank',
                  '_act_bg_pacing', '_trrd_l',
@@ -76,7 +75,6 @@ class Bank:
 
     def __init__(self, config: DRAMConfig, rank: Rank, bank_key: tuple,
                  counters: CommandCounters):
-        self._config = config
         self._rank = rank
         self._key = bank_key
         self._counters = counters
@@ -157,14 +155,6 @@ class Bank:
         if self._all_fast or row >= self._regular_rows:
             return self._fast
         return self._slow
-
-    def is_row_hit(self, row: int) -> bool:
-        """Would an access to ``row`` hit the open row right now?"""
-        return self.open_row == row
-
-    def is_open(self) -> bool:
-        """Return True when any row is currently open in this bank."""
-        return self.open_row is not None
 
     def earliest_start(self, now: int, row: int) -> int:
         """Earliest cycle an access to ``row`` could begin (for scheduling)."""
@@ -290,19 +280,29 @@ class Bank:
         return pre_cycle + timing.trp
 
     # ------------------------------------------------------------------
-    # FIGARO relocation.
+    # In-bank relocation.
     # ------------------------------------------------------------------
     def relocate(self, now: int, source_row: int, destination_row: int,
-                 num_blocks: int,
+                 transfer_cycles: int, relocs: int,
                  keep_source_open: bool = False) -> RelocationResult:
-        """Relocate ``num_blocks`` columns from ``source_row`` to
-        ``destination_row`` using FIGARO RELOC commands.
+        """Move data from ``source_row`` to ``destination_row``.
 
-        Command sequence (paper Section 4.2): ACTIVATE source (skipped when
-        the source row is already open, which is the common case on a
-        FIGCache miss because the demand access just opened it), one RELOC
-        per cache block, ACTIVATE destination (overwrites only the columns
-        driven by the GRB), and a PRECHARGE.
+        Command sequence (paper Section 4.2): PRECHARGE whatever other row
+        is open, ACTIVATE the source (skipped when the source row is already
+        open, which is the common case on a cache insertion because the
+        demand access just opened it), the transfer, ACTIVATE the
+        destination (overwrites only the columns driven by the global row
+        buffer), and a PRECHARGE.
+
+        The transfer occupies the bank for ``transfer_cycles`` and issues
+        ``relocs`` RELOC commands; it is the only term in which the two
+        relocation mechanisms differ:
+
+        * FIGARO: one RELOC per cache block, ``num_blocks x tRELOC``
+          cycles whatever the distance (:meth:`Channel.relocate`);
+        * LISA-VILLA: a hop-by-hop row copy between adjacent subarrays
+          whose length grows with the distance, and no RELOC
+          (:meth:`Channel.bulk_relocate`).
 
         ``keep_source_open`` models the subarray-level parallelism FIGARO
         relies on: the destination row lives in a *different* subarray, so
@@ -312,11 +312,11 @@ class Bank:
         row hits to the source row are not turned into row misses by the
         relocation.  Otherwise the bank ends the sequence precharged.
         """
-        if num_blocks <= 0:
-            raise ValueError("relocation needs at least one block")
         if source_row == destination_row:
             raise ValueError("source and destination rows must differ")
-        # Inline timing_for_row: this runs once per FIGCache insertion.
+        if transfer_cycles < 0:
+            raise ValueError("transfer_cycles must be non-negative")
+        # Inline timing_for_row: this runs once per cache insertion.
         all_fast = self._all_fast
         regular_rows = self._regular_rows
         src_timing = self._fast if all_fast or source_row >= regular_rows \
@@ -327,9 +327,8 @@ class Bank:
         counters = self._counters
         start = max(now, self._busy_until)
         source_was_open = self.open_row == source_row
-        activates = 0
         cycle = start
-        if self.open_row != source_row:
+        if not source_was_open:
             # Close whatever is open, then activate the source row.
             if self.open_row is not None:
                 pre_cycle = max(cycle, self._next_pre_allowed)
@@ -341,19 +340,18 @@ class Bank:
                 counters.fast_activates += 1
             if counters.track_row_activations:
                 counters.record_row_activation(self._key, source_row)
-            activates += 1
             # The source row must be fully restored (tRAS) before its local
-            # row buffer can drive the global row buffer for RELOC.
+            # row buffer can drive the global row buffer for the transfer.
             cycle = cycle + src_timing.tras
         else:
-            # The source row is already open; RELOC may begin as soon as the
-            # restore completed and any outstanding column traffic drained.
+            # The source row is already open; the transfer may begin as soon
+            # as the restore completed and any outstanding column traffic
+            # drained.
             cycle = max(cycle, self._last_act + src_timing.tras,
                         self._next_col_allowed)
 
-        # One RELOC per cache block in the segment.
-        cycle += num_blocks * src_timing.treloc
-        counters.relocs += num_blocks
+        cycle += transfer_cycles
+        counters.relocs += relocs
 
         # ACTIVATE the destination row to latch the relocated columns into
         # the destination cells, then PRECHARGE the bank.  The destination
@@ -365,7 +363,6 @@ class Bank:
             counters.fast_activates += 1
         if counters.track_row_activations:
             counters.record_row_activation(self._key, destination_row)
-        activates += 1
         cycle += dst_timing.trcd
         counters.precharges += 1
         cycle += dst_timing.trp
@@ -386,80 +383,7 @@ class Bank:
             self._next_col_allowed = cycle
             self._next_pre_allowed = cycle
 
-        return RelocationResult(start_cycle=start, completion_cycle=cycle,
-                                reloc_commands=num_blocks,
-                                activates=activates, precharges=1)
-
-    def bulk_row_relocate(self, now: int, source_row: int,
-                          destination_row: int, transfer_cycles: int,
-                          keep_source_open: bool = False) -> RelocationResult:
-        """Relocate an entire row with a bulk (non-FIGARO) mechanism.
-
-        Used to model LISA-VILLA style row-granularity relocation, whose
-        transfer time is distance dependent and is supplied by the caller as
-        ``transfer_cycles``.  The surrounding command sequence matches
-        :meth:`relocate`: open the source row (if needed), transfer, restore
-        into the destination row, and precharge.  ``keep_source_open``
-        behaves as in :meth:`relocate`.
-        """
-        if transfer_cycles < 0:
-            raise ValueError("transfer_cycles must be non-negative")
-        if source_row == destination_row:
-            raise ValueError("source and destination rows must differ")
-        src_timing = self.timing_for_row(source_row)
-        dst_timing = self.timing_for_row(destination_row)
-
-        start = max(now, self._busy_until)
-        source_was_open = self.open_row == source_row
-        activates = 0
-        precharges = 0
-        cycle = start
-        if self.open_row != source_row:
-            if self.open_row is not None:
-                pre_cycle = max(cycle, self._next_pre_allowed)
-                cycle = pre_cycle + self.timing_for_row(self.open_row).trp
-                self._counters.record_command(Command.PRECHARGE)
-                precharges += 1
-            cycle = max(cycle, self._next_act_allowed)
-            self._counters.record_command(
-                Command.ACTIVATE, fast=self._config.is_fast_row(source_row))
-            self._counters.record_row_activation(self._key, source_row)
-            activates += 1
-            cycle = cycle + src_timing.tras
-        else:
-            cycle = max(cycle, self._last_act + src_timing.tras,
-                        self._next_col_allowed)
-
-        cycle += transfer_cycles
-
-        # Same destination-activation accounting as :meth:`relocate`, so that
-        # LISA-style bulk relocation and FIGARO differ only in the transfer
-        # term (FIGARO: one RELOC per block; LISA: per-hop row-buffer moves).
-        self._counters.record_command(
-            Command.ACTIVATE, fast=self._config.is_fast_row(destination_row))
-        self._counters.record_row_activation(self._key, destination_row)
-        activates += 1
-        cycle += dst_timing.trcd
-        self._counters.record_command(Command.PRECHARGE)
-        precharges += 1
-        cycle += dst_timing.trp
-
-        if keep_source_open and source_was_open:
-            self.open_row = source_row
-            self._busy_until = cycle
-            self._next_act_allowed = max(self._next_act_allowed, cycle)
-            self._next_col_allowed = max(self._next_col_allowed, cycle)
-            self._next_pre_allowed = max(self._next_pre_allowed, cycle)
-        else:
-            self.open_row = None
-            self._busy_until = cycle
-            self._next_act_allowed = cycle
-            self._next_col_allowed = cycle
-            self._next_pre_allowed = cycle
-
-        return RelocationResult(start_cycle=start, completion_cycle=cycle,
-                                reloc_commands=0, activates=activates,
-                                precharges=precharges)
+        return RelocationResult(start, cycle, relocs)
 
     # ------------------------------------------------------------------
     # Refresh support.

@@ -17,7 +17,7 @@ class Channel:
     """Timing state for one memory channel."""
 
     __slots__ = ('_config', '_id', 'counters', '_ranks', '_banks', '_rank_of',
-                 '_bus_free_at', 'tracer')
+                 '_treloc', '_bus_free_at', 'tracer')
 
     def __init__(self, config: DRAMConfig, channel_id: int,
                  refresh_enabled: bool = True,
@@ -41,6 +41,9 @@ class Channel:
                     key = (channel_id, rank_id, bankgroup, bank)
                     self._banks.append(Bank(config, rank, key, self.counters))
                     self._rank_of.append(rank)
+        #: RELOC latency in cycles; the fast timing set scales only tRCD,
+        #: tRP and tRAS, so one value serves every row.
+        self._treloc = slow.treloc
         #: Earliest cycle the shared data bus is free.
         self._bus_free_at = 0
         #: Optional event tracer (see :mod:`repro.sim.tracing`); checked
@@ -100,24 +103,37 @@ class Channel:
         self._bus_free_at = result.completion_cycle
         return result
 
+    # Both relocation entry points run the one Bank.relocate sequence and
+    # differ only in the transfer term.  They stay separate public methods
+    # because the benchmark's layer trace (perfbench/layer_trace.py) wraps
+    # each by name.
     def relocate(self, now: int, flat_bank: int, source_row: int,
                  destination_row: int, num_blocks: int,
                  keep_source_open: bool = False) -> RelocationResult:
-        """Relocate a row segment inside one bank using FIGARO."""
+        """Relocate a row segment inside one bank using FIGARO.
+
+        The transfer is one RELOC per cache block: ``num_blocks x tRELOC``
+        cycles.
+        """
+        if num_blocks <= 0:
+            raise ValueError("relocation needs at least one block")
         start = self._apply_refresh(now, flat_bank)
-        bank = self._banks[flat_bank]
-        return bank.relocate(start, source_row, destination_row, num_blocks,
-                             keep_source_open=keep_source_open)
+        return self._banks[flat_bank].relocate(
+            start, source_row, destination_row, num_blocks * self._treloc,
+            num_blocks, keep_source_open)
 
     def bulk_relocate(self, now: int, flat_bank: int, source_row: int,
                       destination_row: int, transfer_cycles: int,
                       keep_source_open: bool = False) -> RelocationResult:
-        """Relocate an entire row with a bulk (LISA-style) mechanism."""
+        """Relocate an entire row with a bulk (LISA-style) mechanism.
+
+        The caller supplies the distance-dependent ``transfer_cycles``; no
+        RELOC command is issued.
+        """
         start = self._apply_refresh(now, flat_bank)
-        bank = self._banks[flat_bank]
-        return bank.bulk_row_relocate(start, source_row, destination_row,
-                                      transfer_cycles,
-                                      keep_source_open=keep_source_open)
+        return self._banks[flat_bank].relocate(
+            start, source_row, destination_row, transfer_cycles, 0,
+            keep_source_open)
 
     def earliest_start(self, now: int, flat_bank: int, row: int) -> int:
         """Earliest cycle an access could start (used by the scheduler)."""

@@ -65,17 +65,6 @@ class CommandCounters:
         self.row_activation_counts[key] = \
             self.row_activation_counts.get(key, 0) + 1
 
-    def record_outcome(self, outcome: str) -> None:
-        """Record a row-buffer outcome: ``hit``, ``miss``, or ``conflict``."""
-        if outcome == "hit":
-            self.row_hits += 1
-        elif outcome == "miss":
-            self.row_misses += 1
-        elif outcome == "conflict":
-            self.row_conflicts += 1
-        else:
-            raise ValueError(f"unknown access outcome {outcome!r}")
-
     @property
     def column_accesses(self) -> int:
         """Total READ plus WRITE commands."""

@@ -1,13 +1,13 @@
-"""Tests for the FIGARO engine, FIGCache tag store, policies, and mechanisms."""
+"""Tests for the FIGCache tag store, policies, and mechanisms."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import BaseMechanism, LISAVillaConfig, LISAVillaMechanism
-from repro.core import (FIGCache, FIGCacheConfig, FigTagStore, FigaroEngine,
+from repro.core import (FIGCache, FIGCacheConfig, FigTagStore,
                         InsertAnyMissPolicy, MissCountThresholdPolicy,
-                        RelocationRequest, make_replacement_policy)
+                        make_replacement_policy)
 from repro.core.replacement import (LRUReplacement, RandomReplacement,
                                     RowBenefitReplacement,
                                     SegmentBenefitReplacement,
@@ -19,62 +19,6 @@ def make_channel(fast_subarrays=2, channels=1):
     config = DRAMConfig(channels=channels,
                         fast_subarrays_per_bank=fast_subarrays)
     return config, Channel(config, 0, refresh_enabled=False)
-
-
-# ----------------------------------------------------------------------
-# FIGARO engine.
-# ----------------------------------------------------------------------
-class TestFigaroEngine:
-    def test_relocation_latency_matches_paper_63_5ns(self):
-        engine = FigaroEngine(DRAMConfig(fast_subarrays_per_bank=2))
-        latency = engine.relocation_latency_ns(1, source_already_open=False,
-                                               destination_fast=False)
-        assert latency == pytest.approx(63.5)
-
-    def test_open_source_row_reduces_latency(self):
-        engine = FigaroEngine(DRAMConfig(fast_subarrays_per_bank=2))
-        closed = engine.relocation_latency_ns(16, source_already_open=False)
-        opened = engine.relocation_latency_ns(16, source_already_open=True)
-        assert opened < closed
-
-    def test_validate_rejects_same_subarray(self):
-        config = DRAMConfig(fast_subarrays_per_bank=2)
-        engine = FigaroEngine(config)
-        request = RelocationRequest(flat_bank=0, source_row=0,
-                                    source_column=0, destination_row=1,
-                                    destination_column=0, num_blocks=1)
-        with pytest.raises(ValueError):
-            engine.validate(request)
-
-    def test_validate_rejects_out_of_row_columns(self):
-        config = DRAMConfig(fast_subarrays_per_bank=2)
-        engine = FigaroEngine(config)
-        request = RelocationRequest(flat_bank=0, source_row=0,
-                                    source_column=120,
-                                    destination_row=config.fast_region_row(0),
-                                    destination_column=0, num_blocks=16)
-        with pytest.raises(ValueError):
-            engine.validate(request)
-
-    def test_relocate_executes_on_channel(self):
-        config, channel = make_channel()
-        engine = FigaroEngine(config)
-        request = RelocationRequest(flat_bank=0, source_row=5,
-                                    source_column=0,
-                                    destination_row=config.fast_region_row(0),
-                                    destination_column=16, num_blocks=16)
-        outcome = engine.relocate(channel, 0, request)
-        assert outcome.reloc_commands == 16
-        assert channel.counters.relocs == 16
-
-    def test_unaligned_columns_are_allowed(self):
-        config = DRAMConfig(fast_subarrays_per_bank=2)
-        engine = FigaroEngine(config)
-        request = RelocationRequest(flat_bank=0, source_row=5,
-                                    source_column=48,
-                                    destination_row=config.fast_region_row(0),
-                                    destination_column=96, num_blocks=16)
-        engine.validate(request)  # must not raise
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +284,72 @@ class TestFIGCacheMechanism:
             result = cache.service(channel, now, decoded, 0, True)
             now = result.bank_busy_until + 100
         assert cache.stats.dirty_writebacks >= 1
+
+
+# ----------------------------------------------------------------------
+# FIGARO's constraints hold for every relocation FIGCache issues.
+# ----------------------------------------------------------------------
+INVARIANT_CONFIG = DRAMConfig(fast_subarrays_per_bank=2)
+#: First row of the last regular subarray, where slow placement reserves
+#: its cache rows.
+LAST_SUBARRAY_ROW = (INVARIANT_CONFIG.regular_rows_per_bank
+                     - INVARIANT_CONFIG.rows_per_subarray)
+
+
+def recording_channel(config):
+    """A channel that records every FIGARO relocation it performs."""
+    calls = []
+
+    class RecordingChannel(Channel):
+        __slots__ = ()
+
+        def relocate(self, now, flat_bank, source_row, destination_row,
+                     num_blocks, keep_source_open=False):
+            calls.append((source_row, destination_row, num_blocks))
+            return super().relocate(now, flat_bank, source_row,
+                                    destination_row, num_blocks,
+                                    keep_source_open)
+
+    return RecordingChannel(config, 0, refresh_enabled=False), calls
+
+
+class TestFIGCacheRelocationInvariant:
+    @given(placement=st.sampled_from(["fast", "slow"]),
+           segment_blocks=st.sampled_from([8, 16, 32]),
+           rows=st.lists(st.one_of(
+               st.integers(0, INVARIANT_CONFIG.regular_rows_per_bank - 1),
+               st.integers(LAST_SUBARRAY_ROW,
+                           INVARIANT_CONFIG.regular_rows_per_bank - 1)),
+               min_size=4, max_size=16, unique=True),
+           num_accesses=st.integers(100, 600),
+           rng=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_relocations_move_one_segment_across_subarrays(
+            self, placement, segment_blocks, rows, num_accesses, rng):
+        # Two cache rows per bank and a small pool of source rows, so
+        # random traffic both re-touches cached segments (writes dirty
+        # them) and evicts them (dirty victims are written back).
+        from repro.dram.address import DecodedAddress
+
+        config = INVARIANT_CONFIG
+        channel, calls = recording_channel(config)
+        cache = FIGCache(config, FIGCacheConfig(
+            placement=placement, segment_blocks=segment_blocks,
+            cache_rows_per_bank=2))
+        now = 0
+        for _ in range(num_accesses):
+            decoded = DecodedAddress(
+                channel=0, rank=0, bankgroup=0, bank=0, row=rng.choice(rows),
+                column_block=rng.randrange(config.blocks_per_row))
+            now = cache.service(channel, now, decoded, 0,
+                                rng.random() < 0.3).bank_busy_until
+        stats = cache.stats
+        assert len(calls) == stats.insertions + stats.dirty_writebacks
+        assert stats.relocation_operations == len(calls) * segment_blocks
+        for source_row, destination_row, num_blocks in calls:
+            assert num_blocks == segment_blocks
+            assert config.subarray_of_row(source_row) \
+                != config.subarray_of_row(destination_row)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Unit and property tests for the DRAM device substrate."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.dram import (AddressMapper, Bank, Channel, Command,
@@ -200,6 +200,14 @@ def make_bank(fast_subarrays=2, all_fast=False):
     return bank, counters, config
 
 
+def figaro_relocate(bank, config, now, source_row, destination_row,
+                    num_blocks, keep_source_open=False):
+    """Bank.relocate with FIGARO's transfer term: one RELOC per block."""
+    treloc = config.slow_timing_set().treloc
+    return bank.relocate(now, source_row, destination_row,
+                         num_blocks * treloc, num_blocks, keep_source_open)
+
+
 class TestBank:
     def test_first_access_is_a_row_miss(self):
         bank, counters, _ = make_bank()
@@ -257,58 +265,178 @@ class TestBank:
     def test_relocate_counts_one_reloc_per_block(self):
         bank, counters, config = make_bank()
         bank.access(0, 100, False, 0)
-        result = bank.relocate(200, 100, config.fast_region_row(0), 16)
+        result = figaro_relocate(bank, config, 200, 100,
+                                 config.fast_region_row(0), 16)
         assert result.reloc_commands == 16
         assert counters.relocs == 16
         assert result.completion_cycle > result.start_cycle
 
     def test_relocate_skips_activate_when_source_open(self):
-        bank_open, _, config = make_bank()
+        bank_open, open_counters, config = make_bank()
         bank_open.access(0, 100, False, 0)
-        open_result = bank_open.relocate(500, 100, config.fast_region_row(0),
-                                         16)
-        bank_closed, _, _ = make_bank()
-        closed_result = bank_closed.relocate(500, 100,
-                                             config.fast_region_row(0), 16)
-        assert open_result.activates == 1
-        assert closed_result.activates == 2
+        activates_before = open_counters.activates
+        open_result = figaro_relocate(bank_open, config, 500, 100,
+                                      config.fast_region_row(0), 16)
+        bank_closed, closed_counters, _ = make_bank()
+        closed_result = figaro_relocate(bank_closed, config, 500, 100,
+                                        config.fast_region_row(0), 16)
+        assert open_counters.activates - activates_before == 1
+        assert closed_counters.activates == 2
         assert (open_result.completion_cycle - open_result.start_cycle) < \
             (closed_result.completion_cycle - closed_result.start_cycle)
 
     def test_relocate_keep_source_open_preserves_row(self):
         bank, _, config = make_bank()
         bank.access(0, 100, False, 0)
-        bank.relocate(500, 100, config.fast_region_row(0), 16,
-                      keep_source_open=True)
+        figaro_relocate(bank, config, 500, 100, config.fast_region_row(0),
+                        16, keep_source_open=True)
         assert bank.open_row == 100
 
     def test_relocate_without_keep_source_open_precharges(self):
         bank, _, config = make_bank()
         bank.access(0, 100, False, 0)
-        bank.relocate(500, 100, config.fast_region_row(0), 16)
+        figaro_relocate(bank, config, 500, 100, config.fast_region_row(0),
+                        16)
         assert bank.open_row is None
 
     def test_relocate_same_row_rejected(self):
-        bank, _, _ = make_bank()
+        bank, _, config = make_bank()
         with pytest.raises(ValueError):
-            bank.relocate(0, 5, 5, 1)
+            figaro_relocate(bank, config, 0, 5, 5, 1)
         with pytest.raises(ValueError):
-            bank.relocate(0, 5, 6, 0)
+            bank.relocate(0, 5, 6, -1, 0)
+        # Zero blocks is rejected where blocks become cycles.
+        channel = Channel(config, 0, refresh_enabled=False)
+        with pytest.raises(ValueError):
+            channel.relocate(0, 0, 5, 6, 0)
 
     def test_bulk_relocate_scales_with_transfer_cycles(self):
         bank_a, _, config = make_bank()
-        short = bank_a.bulk_row_relocate(0, 100, config.fast_region_row(0), 10)
+        short = bank_a.relocate(0, 100, config.fast_region_row(0), 10, 0)
         bank_b, _, _ = make_bank()
-        long = bank_b.bulk_row_relocate(0, 100, config.fast_region_row(0), 500)
+        long = bank_b.relocate(0, 100, config.fast_region_row(0), 500, 0)
         assert (long.completion_cycle - long.start_cycle) - \
             (short.completion_cycle - short.start_cycle) == 490
 
     def test_relocation_occupies_bank(self):
         bank, _, config = make_bank()
         bank.access(0, 100, False, 0)
-        result = bank.relocate(200, 100, config.fast_region_row(0), 16)
+        result = figaro_relocate(bank, config, 200, 100,
+                                 config.fast_region_row(0), 16)
         follow_up = bank.access(result.start_cycle + 1, 100, False, 0)
         assert follow_up.issue_cycle >= result.completion_cycle
+
+
+# ----------------------------------------------------------------------
+# The relocation sequence (paper Section 4.2), entered through FIGARO's
+# Channel.relocate and LISA-VILLA's Channel.bulk_relocate.
+# ----------------------------------------------------------------------
+RELOC_CONFIG = DRAMConfig(fast_subarrays_per_bank=2)
+RELOC_TRELOC = RELOC_CONFIG.slow_timing_set().treloc
+
+
+def relocation_channel(open_row=None, opened_at=0, is_write=False):
+    """A refresh-free channel whose bank 0 has ``open_row`` open."""
+    channel = Channel(RELOC_CONFIG, 0, refresh_enabled=False,
+                      track_row_activations=True)
+    if open_row is not None:
+        channel.access(opened_at, 0, open_row, is_write)
+    return channel
+
+
+def command_counts(channel):
+    counters = channel.counters
+    return counters.activates, counters.precharges, counters.relocs
+
+
+class TestRelocationSequence:
+    @pytest.mark.parametrize("start_state, open_row, activates, precharges",
+                             [("source open", 100, 1, 1),
+                              ("bank closed", None, 2, 1),
+                              ("other row open", 7, 2, 2)])
+    @pytest.mark.parametrize("mechanism", ["figaro", "bulk"])
+    def test_command_counts_per_start_state(self, start_state, open_row,
+                                            activates, precharges,
+                                            mechanism):
+        channel = relocation_channel(open_row)
+        destination = RELOC_CONFIG.fast_region_row(0)
+        before = command_counts(channel)
+        if mechanism == "figaro":
+            channel.relocate(500, 0, 100, destination, 16)
+            relocs = 16
+        else:
+            channel.bulk_relocate(500, 0, 100, destination,
+                                  16 * RELOC_TRELOC)
+            relocs = 0
+        after = command_counts(channel)
+        delta = tuple(a - b for a, b in zip(after, before))
+        assert delta == (activates, precharges, relocs), start_state
+
+    def test_one_block_relocation_matches_paper_latency(self):
+        # Section 4.2: ACT(source, tRAS) + RELOC + ACT(destination, tRCD)
+        # + PRE between two slow rows of different subarrays.
+        config = DRAMConfig()
+        timing = config.slow_timing_set()
+        source, destination = 0, config.rows_per_subarray
+        assert config.subarray_of_row(source) \
+            != config.subarray_of_row(destination)
+        channel = Channel(config, 0, refresh_enabled=False)
+        result = channel.relocate(0, 0, source, destination, 1)
+        cycles = result.completion_cycle - result.start_cycle
+        assert (timing.tras, timing.treloc, timing.trcd, timing.trp) \
+            == (112, 4, 44, 44)
+        assert cycles == 112 + 4 + 44 + 44 == 204
+        # 63.75 ns at 3.2 GHz: the paper's 63.5 ns with tRELOC's 1 ns
+        # rounded up from 3.2 to 4 cycles.
+        assert cycles / config.cpu_clock_ghz == pytest.approx(63.75)
+        timings = config.timings
+        assert timings.tras_ns + timings.treloc_ns + timings.trcd_ns \
+            + timings.trp_ns == pytest.approx(63.5)
+
+    @given(start_state=st.sampled_from(["bank closed", "source open",
+                                        "other row open"]),
+           source_fast=st.booleans(), destination_fast=st.booleans(),
+           source_index=st.integers(0, RELOC_CONFIG.fast_rows_per_bank - 1),
+           destination_index=st.integers(
+               0, RELOC_CONFIG.fast_rows_per_bank - 1),
+           other_row=st.integers(0, RELOC_CONFIG.rows_per_bank - 1),
+           keep_source_open=st.booleans(), num_blocks=st.integers(1, 128),
+           opened_at=st.integers(0, 1000), now=st.integers(0, 2000),
+           is_write=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_figaro_and_bulk_transfer_share_one_sequence(
+            self, start_state, source_fast, destination_fast, source_index,
+            destination_index, other_row, keep_source_open, num_blocks,
+            opened_at, now, is_write):
+        config = RELOC_CONFIG
+        regular = config.regular_rows_per_bank
+        source = regular + source_index if source_fast \
+            else source_index * 500
+        destination = regular + destination_index if destination_fast \
+            else destination_index * 500 + 7
+        assume(source != destination and other_row != source)
+        open_row = {"bank closed": None, "source open": source,
+                    "other row open": other_row}[start_state]
+        figaro = relocation_channel(open_row, opened_at, is_write)
+        bulk = relocation_channel(open_row, opened_at, is_write)
+
+        by_reloc = figaro.relocate(now, 0, source, destination, num_blocks,
+                                   keep_source_open)
+        by_copy = bulk.bulk_relocate(now, 0, source, destination,
+                                     num_blocks * RELOC_TRELOC,
+                                     keep_source_open)
+
+        assert (by_reloc.start_cycle, by_reloc.completion_cycle) \
+            == (by_copy.start_cycle, by_copy.completion_cycle)
+        assert (by_reloc.reloc_commands, by_copy.reloc_commands) \
+            == (num_blocks, 0)
+        assert figaro.bank(0).open_row == bulk.bank(0).open_row
+        assert figaro.bank(0).ready_for_next == bulk.bank(0).ready_for_next
+        reloc_counts = figaro.counters.to_dict()
+        copy_counts = bulk.counters.to_dict()
+        assert reloc_counts.pop("relocs") == num_blocks
+        assert copy_counts.pop("relocs") == 0
+        assert reloc_counts == copy_counts
 
 
 # ----------------------------------------------------------------------
@@ -375,11 +503,6 @@ class TestChannelAndDevice:
         total = device.total_counters()
         assert total.reads == 1
         assert total.activates == 1
-
-    def test_command_counters_reject_unknown_outcome(self):
-        counters = CommandCounters()
-        with pytest.raises(ValueError):
-            counters.record_outcome("bogus")
 
     def test_command_counters_row_tracking_disabled_by_default(self):
         counters = CommandCounters()
