@@ -16,8 +16,6 @@
   catalog, or run one tiny validation simulation per profile.
 * ``cache stats`` / ``cache clear`` — inspect or wipe the persistent
   result cache.
-* ``bench``         — time the simulator itself on the figure-7 workload
-  set and emit ``benchmarks/perf/BENCH_<rev>.json``.
 * ``trace WORKLOAD`` — record an event-level simulation trace (DRAM
   commands, request lifecycles, mechanism events) and export it as
   Chrome trace-event JSON, viewable at https://ui.perfetto.dev.
@@ -227,46 +225,6 @@ def _cmd_sweep(args) -> int:
                              metrics_snapshot(executor=executor))
         print(f"metrics written to {path}")
     return _finish_batch(executor)
-
-
-#: Sentinel for an omitted ``--profile`` flag: ``--profile`` without an
-#: argument means "profile the default job", which argparse stores as
-#: ``None`` — so absence needs its own marker.
-_NO_PROFILE = object()
-
-
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.experiments import bench
-
-    if args.profile is not _NO_PROFILE:
-        # Profile-only mode: no JSON report — the table goes to stdout so
-        # perf PRs can paste it straight into their discussion.
-        print(bench.profile_job(args.profile, top=args.profile_top))
-        return 0
-    if args.sweep:
-        report = bench.run_sweep_bench(quick=args.quick,
-                                       jobs_levels=args.sweep_jobs,
-                                       repeats=args.repeats)
-        stem = args.output_name or f"BENCH_sweep_{report['rev']}"
-        path = bench.write_report(report, Path(args.output_dir), stem=stem)
-        print(bench.format_sweep_report(report))
-        print(f"report written to {path}")
-        return 0
-    report = bench.run_bench(quick=args.quick, repeats=args.repeats)
-    output_dir = Path(args.output_dir)
-    path = bench.write_report(report, output_dir,
-                              stem=args.output_name)
-
-    comparison = None
-    baseline_path = Path(args.baseline)
-    if baseline_path.exists():
-        with baseline_path.open(encoding="utf-8") as handle:
-            comparison = bench.compare_to_baseline(report, json.load(handle))
-    print(bench.format_report(report, comparison))
-    print(f"report written to {path}")
-    return 0
 
 
 def _cmd_timeline(args) -> int:
@@ -514,45 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_arguments(sweep)
     _add_progress_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)
-
-    bench = sub.add_parser("bench",
-                           help="time the simulator on the figure-7 "
-                                "workload set; emit BENCH_<rev>.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="small CI-friendly subset (tiny scale, "
-                            "Base + FIGCache-Fast only)")
-    bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                       help="repeat each job N times, keep the fastest "
-                            "(default 3; damps machine-load noise)")
-    bench.add_argument("--output-dir", default="benchmarks/perf",
-                       metavar="DIR",
-                       help="where BENCH_<rev>.json is written "
-                            "(default benchmarks/perf)")
-    bench.add_argument("--baseline", default="benchmarks/perf/BENCH_baseline.json",
-                       metavar="FILE",
-                       help="baseline report to compute speedups against "
-                            "(default benchmarks/perf/BENCH_baseline.json)")
-    bench.add_argument("--profile", nargs="?", const=None,
-                       default=_NO_PROFILE, metavar="JOB",
-                       help="cProfile one bench job (default: the first "
-                            "job of the matrix) and print the top "
-                            "functions instead of running the timed "
-                            "matrix")
-    bench.add_argument("--profile-top", type=int, default=25, metavar="N",
-                       help="rows of the --profile table (default 25)")
-    bench.add_argument("--sweep", action="store_true",
-                       help="benchmark the experiment engine's sweep "
-                            "throughput (jobs/sec, cold cache) instead of "
-                            "the simulator, at each --sweep-jobs level")
-    bench.add_argument("--sweep-jobs", type=_int_list, default=[1, 2, 4],
-                       metavar="N1,N2,...",
-                       help="worker counts the sweep bench measures "
-                            "(default 1,2,4)")
-    bench.add_argument("--output-name", default=None, metavar="STEM",
-                       help="report filename stem (default: "
-                            "BENCH_sweep_<rev> for --sweep, BENCH_<rev> "
-                            "otherwise)")
-    bench.set_defaults(func=_cmd_bench)
 
     timeline = sub.add_parser("timeline",
                               help="per-epoch telemetry time series for "

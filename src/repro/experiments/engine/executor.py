@@ -462,8 +462,8 @@ class JobExecutor:
         #: pickling, scheduling, and cache writes.
         self.sim_cpu_s = 0.0
         #: Worker PIDs that produced results in the most recent parallel
-        #: batch (the parent PID for serial batches).  Lets tests — and
-        #: the bench — verify the pool stays warm across batches.
+        #: batch (the parent PID for serial batches).  Lets tests verify
+        #: the pool stays warm across batches.
         self.last_worker_pids: frozenset[int] = frozenset()
         #: Structured outcome of the most recent :meth:`run` batch.
         self.last_report: BatchReport | None = None
@@ -578,8 +578,12 @@ class JobExecutor:
         return {job: results[job] for job, _ in ordered if job in results}
 
     def run_one(self, job: SimJob) -> SimulationResult:
-        """Run a single job through the cache (always serial)."""
-        return self.run([job])[job]
+        """Run a single job through the cache (always serial); raises
+        :class:`JobExecutionError` when the job was skipped."""
+        results = self.run([job])
+        if self.last_report.skipped:
+            raise JobExecutionError.from_report(self.last_report)
+        return results[job]
 
     def _finish_report(self, report: BatchReport,
                        tracker: BatchProgress | None) -> None:

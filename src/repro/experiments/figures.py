@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.dram.standards import PROFILES, get_profile
-from repro.experiments.engine import SimJob, get_executor
+from repro.experiments.engine import (JobExecutionError, SimJob,
+                                      get_executor)
 from repro.experiments.runner import (DEFAULT_CONFIGURATIONS, ExperimentScale,
                                       geometric_mean, multicore_suite,
                                       single_core_benchmarks)
@@ -61,31 +62,16 @@ def _multicore_jobs(configurations, suite, scale: ExperimentScale,
 
 
 def _run_batch(jobs: dict[tuple, SimJob]) -> dict[tuple, object]:
-    """Submit one batch; returns results under the jobs' semantic keys."""
-    results = get_executor().run(jobs.values())
-    return {key: results[job] for key, job in jobs.items()}
+    """Submit one batch; returns results under the jobs' semantic keys.
 
-
-def figure7_matrix_jobs(scale: ExperimentScale,
-                        configurations=DEFAULT_CONFIGURATIONS,
-                        mix_configurations=("Base", "FIGCache-Fast")
-                        ) -> list[SimJob]:
-    """The figure-7 evaluation matrix as a flat job list.
-
-    Every configuration crossed with the single-core benchmark suite, plus
-    one multiprogrammed mix per ``mix_configurations`` entry so multicore
-    trace generation and event interleaving are represented.  The sweep
-    throughput bench (``python -m repro bench --sweep``) runs this matrix
-    cold through competing executor strategies.
+    A job skipped under ``--keep-going`` fails the figure: its rows would
+    otherwise be computed from part of the batch.
     """
-    categories = single_core_benchmarks(scale)
-    benchmarks = [b for group in categories.values() for b in group]
-    jobs = [SimJob.single_core(configuration, benchmark, scale)
-            for configuration in configurations for benchmark in benchmarks]
-    for mix in multicore_suite(scale)[:1]:
-        for configuration in mix_configurations:
-            jobs.append(SimJob.multicore(configuration, mix, scale))
-    return jobs
+    executor = get_executor()
+    results = executor.run(jobs.values())
+    if executor.last_report.skipped:
+        raise JobExecutionError.from_report(executor.last_report)
+    return {key: results[job] for key, job in jobs.items()}
 
 
 def figure7_single_core(scale: ExperimentScale | None = None,

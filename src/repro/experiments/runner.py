@@ -117,7 +117,7 @@ def geometric_mean(values: list[float]) -> float:
 
 def format_table(title: str, columns: list[str],
                  rows: list[list]) -> str:
-    """Render a result table as fixed-width text for the bench harness."""
+    """Render a result table as fixed-width text (CLI and benchmarks)."""
     widths = [len(str(column)) for column in columns]
     rendered_rows = []
     for row in rows:

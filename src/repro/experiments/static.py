@@ -15,7 +15,8 @@ from __future__ import annotations
 from repro.analysis.overhead import OverheadModel
 from repro.circuit.reloc_timing import analyze_reloc_timing
 from repro.dram.config import DRAMConfig
-from repro.experiments.engine import SimJob, get_executor
+from repro.experiments.engine import (JobExecutionError, SimJob,
+                                      get_executor)
 from repro.experiments.runner import ExperimentScale
 from repro.sim.config import make_system_config
 from repro.workloads.catalog import BENCHMARKS
@@ -143,7 +144,10 @@ def rowhammer_activation_study(scale: ExperimentScale | None = None,
                                               scale,
                                               track_row_activations=True)
             for configuration in configurations}
-    results = get_executor().run(jobs.values())
+    executor = get_executor()
+    results = executor.run(jobs.values())
+    if executor.last_report.skipped:
+        raise JobExecutionError.from_report(executor.last_report)
     rows = []
     for configuration in configurations:
         job = jobs[configuration]

@@ -69,22 +69,18 @@ def cache_metrics(cache) -> dict:
 
 
 def executor_metrics(executor) -> dict:
-    """Lifetime counters of one :class:`JobExecutor`.
-
-    Reliability counters are read with ``getattr`` defaults so executor
-    replicas (the bench's PR-1 baseline) without them still export.
-    """
+    """Lifetime counters of one :class:`JobExecutor`."""
     return {
         "workers": executor.jobs,
         "simulations_executed": executor.simulations_executed,
         "cache_hits": executor.cache_hits,
         "sim_cpu_s": executor.sim_cpu_s,
         "pool_active": executor.pool_active,
-        "retries": getattr(executor, "retries", 0),
-        "jobs_skipped": getattr(executor, "jobs_skipped", 0),
-        "jobs_failed": getattr(executor, "jobs_failed", 0),
-        "chunk_timeouts": getattr(executor, "chunk_timeouts", 0),
-        "pool_respawns": getattr(executor, "pool_respawns", 0),
+        "retries": executor.retries,
+        "jobs_skipped": executor.jobs_skipped,
+        "jobs_failed": executor.jobs_failed,
+        "chunk_timeouts": executor.chunk_timeouts,
+        "pool_respawns": executor.pool_respawns,
     }
 
 

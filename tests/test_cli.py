@@ -54,27 +54,6 @@ class TestParserRoundTrips:
         assert args.segment_blocks == [8, 32]
         assert args.cache_rows == [64]
 
-    def test_bench_round_trip(self, parser):
-        args = parser.parse_args(["bench", "--quick", "--repeats", "5",
-                                  "--output-dir", "out"])
-        assert args.quick is True
-        assert args.repeats == 5
-        assert args.output_dir == "out"
-        assert args.func is cli._cmd_bench
-
-    def test_bench_sweep_round_trip(self, parser):
-        args = parser.parse_args(["bench", "--sweep", "--sweep-jobs", "1,2",
-                                  "--output-name", "BENCH_pr7"])
-        assert args.sweep is True
-        assert args.sweep_jobs == [1, 2]
-        assert args.output_name == "BENCH_pr7"
-
-    def test_bench_sweep_defaults(self, parser):
-        args = parser.parse_args(["bench"])
-        assert args.sweep is False
-        assert args.sweep_jobs == [1, 2, 4]
-        assert args.output_name is None
-
     def test_timeline_round_trip(self, parser):
         args = parser.parse_args(["timeline", "lbm",
                                   "--configuration", "Base",
@@ -154,12 +133,10 @@ class TestOutputSmoke:
 # Removed options fail loudly.
 # ----------------------------------------------------------------------
 class TestRemovedOptions:
-    """The simulation-backend options are gone; passing one is an error,
-    never a silently ignored flag."""
+    """Removed options and subcommands are errors, never silently
+    ignored."""
 
     @pytest.mark.parametrize("argv", (
-        ["bench", "--ab"],
-        ["bench", "--backend", "turbo"],
         ["trace", "lbm", "--backend", "turbo"],
     ))
     def test_backend_options_exit_nonzero(self, argv, capsys):
@@ -167,3 +144,10 @@ class TestRemovedOptions:
             cli.main(argv)
         assert excinfo.value.code != 0
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", (["bench"], ["bench", "--quick"]))
+    def test_bench_subcommand_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

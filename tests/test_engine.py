@@ -18,7 +18,9 @@ from repro.experiments.engine import (JobExecutionError, JobExecutor,
                                       ResultCache, SimJob, cache_salt)
 from repro.experiments.engine.executor import _chunked
 from repro.experiments.engine.spec import ExperimentScale
-from repro.experiments.figures import figure9_cache_hit_rate
+from repro.experiments.figures import (figure7_single_core,
+                                       figure8_multicore,
+                                       figure9_cache_hit_rate)
 from repro.experiments.runner import geometric_mean
 from repro.sim.config import config_digest, make_system_config
 from repro.sim.metrics import SimulationResult
@@ -360,11 +362,16 @@ class TestJobExecutor:
         with pytest.raises(ValueError):
             JobExecutor(jobs=0)
 
-    def test_parallel_matches_serial_bit_for_bit(self):
+    # Figures 7 and 8 run all six configurations single-core and on the
+    # multicore mix; Figure 9 adds the in-DRAM cache hit-rate metric.
+    @pytest.mark.parametrize("figure", (figure7_single_core,
+                                        figure8_multicore,
+                                        figure9_cache_hit_rate))
+    def test_parallel_matches_serial_bit_for_bit(self, figure):
         engine.configure(jobs=1)
-        serial = figure9_cache_hit_rate(TINY)
+        serial = figure(TINY)
         engine.configure(jobs=2)
-        parallel = figure9_cache_hit_rate(TINY)
+        parallel = figure(TINY)
         assert parallel["rows"] == serial["rows"]
 
     def test_warm_persistent_cache_runs_zero_simulations(self, tmp_path):

@@ -606,6 +606,19 @@ class TestCliFailureSurfaces:
         assert "Traceback" not in err  # one line, not a wall of text
         assert "--keep-going" in err
 
+    @pytest.mark.parametrize("command", (["run-figure", "9"],
+                                         ["run-static", "rowhammer"],
+                                         ["timeline", "lbm"]))
+    def test_keep_going_skip_fails_with_summary(self, command, capsys):
+        install_plan(FaultPlan(faults=(
+            FaultSpec(site="worker", index=0, action="raise",
+                      attempts=()),)))
+        assert main(command + ["--scale", "tiny", "--keep-going",
+                               "--cache-dir", "none"]) == 1
+        err = capsys.readouterr().err
+        assert "1 skipped" in err
+        assert "Traceback" not in err
+
     def test_keep_going_sweep_reports_skips_and_exits_nonzero(
             self, monkeypatch, capsys):
         import repro.cli as cli
