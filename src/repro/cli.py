@@ -19,8 +19,6 @@
 * ``trace WORKLOAD`` — record an event-level simulation trace (DRAM
   commands, request lifecycles, mechanism events) and export it as
   Chrome trace-event JSON, viewable at https://ui.perfetto.dev.
-* ``metrics``       — a unified health-metrics snapshot (cache + host)
-  as JSON or Prometheus text exposition.
 * ``list``          — show every runnable experiment and device profile.
 
 ``--jobs N`` fans independent simulations across N worker processes;
@@ -32,7 +30,6 @@ produce bit-identical tables.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -218,12 +215,6 @@ def _cmd_sweep(args) -> int:
         "rows": table_rows,
     }
     _report(data, executor, time.perf_counter() - start)
-    if args.metrics_out:
-        from repro.sim.metrics_export import metrics_snapshot, write_metrics
-
-        path = write_metrics(args.metrics_out,
-                             metrics_snapshot(executor=executor))
-        print(f"metrics written to {path}")
     return _finish_batch(executor)
 
 
@@ -308,28 +299,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    from pathlib import Path
-
-    from repro.sim.metrics_export import metrics_snapshot, to_prometheus_text
-
-    cache_dir = args.cache_dir
-    if cache_dir is None:
-        cache_dir = str(default_cache_dir())
-    cache = engine.ResultCache(None if cache_dir == "none" else cache_dir)
-    snapshot = metrics_snapshot(cache=cache)
-    if args.format == "prometheus":
-        text = to_prometheus_text(snapshot)
-    else:
-        text = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"metrics written to {args.out}")
-    else:
-        print(text, end="")
-    return 0
-
-
 def _cmd_cache(args) -> int:
     cache_dir = args.cache_dir
     if cache_dir is None:
@@ -355,19 +324,15 @@ def _cmd_cache(args) -> int:
                   "quarantine/")
         return 1 if report["corrupt"] else 0
     else:
-        # Same numbers the ``metrics`` endpoint exports: both route
-        # through the metrics snapshot, so human and scraped views agree.
-        from repro.sim.metrics_export import metrics_snapshot
-
-        section = metrics_snapshot(cache=cache)["cache"]
+        stats = cache.stats()
         print(f"cache directory : {cache.directory}")
-        print(f"disk entries    : {section['disk_entries']}")
-        print(f"disk bytes      : {section['disk_bytes']}")
-        print(f"shards          : {section['shards']}")
-        print(f"gzip entries    : {section['disk_compressed']}")
-        print(f"legacy entries  : {section['disk_legacy']}")
-        print(f"decode failures : {section['decode_failures']}")
-        print(f"quarantined     : {section['quarantine_entries']}")
+        print(f"disk entries    : {stats.disk_entries}")
+        print(f"disk bytes      : {stats.disk_bytes}")
+        print(f"shards          : {stats.shards}")
+        print(f"gzip entries    : {stats.disk_compressed}")
+        print(f"legacy entries  : {stats.disk_legacy}")
+        print(f"decode failures : {stats.decode_failures}")
+        print(f"quarantined     : {stats.quarantine_entries}")
         print(f"salt            : {engine.cache_salt()}")
     return 0
 
@@ -466,9 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-rows", type=_int_list,
                        default=[32, 64, 128], metavar="R1,R2,...",
                        help="cache rows per bank (default 32,64,128)")
-    sweep.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="write a unified metrics snapshot after the "
-                            "sweep (.prom: Prometheus text, else JSON)")
     _add_engine_arguments(sweep)
     _add_progress_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)
@@ -517,19 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", default="trace.json", metavar="FILE",
                        help="output path (default trace.json)")
     trace.set_defaults(func=_cmd_trace)
-
-    metrics = sub.add_parser("metrics",
-                             help="unified health-metrics snapshot "
-                                  "(JSON or Prometheus text)")
-    metrics.add_argument("--format", choices=("json", "prometheus"),
-                         default="json",
-                         help="output format (default: json)")
-    metrics.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="result cache to report on (default: "
-                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    metrics.add_argument("--out", default=None, metavar="FILE",
-                         help="write to FILE instead of stdout")
-    metrics.set_defaults(func=_cmd_metrics)
 
     cache = sub.add_parser("cache", help="persistent result cache tools")
     cache.add_argument("cache_command", choices=("stats", "clear", "verify"))

@@ -9,14 +9,12 @@ actually served and whether row-segment relocations must be performed.
 """
 
 from repro.controller.channel_controller import ChannelController
-from repro.controller.controller import MemoryController
 from repro.controller.request import MemoryRequest
 from repro.controller.scheduler import FRFCFSScheduler, SchedulerConfig
 
 __all__ = [
     "ChannelController",
     "FRFCFSScheduler",
-    "MemoryController",
     "MemoryRequest",
     "SchedulerConfig",
 ]

@@ -55,8 +55,7 @@ class ChannelController:
     __slots__ = ('_channel', '_mechanism', '_scheduler', '_reads_by_bank',
                  '_writes_by_bank', '_read_count', '_write_count',
                  '_drain_mode', '_wakeup_cycle', '_wakeup_heap',
-                 '_read_queue_depth', '_write_queue_depth', '_drain_high',
-                 '_drain_low', '_row_of', '_direct_access',
+                 '_drain_high', '_drain_low', '_row_of', '_direct_access',
                  'completed_reads', 'completed_writes',
                  'read_latencies', 'write_latencies', 'tracer')
 
@@ -82,8 +81,6 @@ class ChannelController:
         self._wakeup_heap: list[tuple[int, int]] = []
         #: Hot-path configuration and dispatch, hoisted once.
         config = self._scheduler.config
-        self._read_queue_depth = config.read_queue_depth
-        self._write_queue_depth = config.write_queue_depth
         self._drain_high = config.write_drain_high_watermark
         self._drain_low = config.write_drain_low_watermark
         #: Row-remap hook handed to the scheduler: None when the mechanism
@@ -129,32 +126,9 @@ class ChannelController:
         """Number of writes currently queued."""
         return self._write_count
 
-    @property
-    def scheduler_config(self) -> SchedulerConfig:
-        """Queueing/watermark configuration."""
-        return self._scheduler.config
-
-    def read_queue_full(self) -> bool:
-        """True when no more reads can be accepted."""
-        return self._read_count >= self._read_queue_depth
-
-    def write_queue_full(self) -> bool:
-        """True when no more writes can be accepted."""
-        return self._write_count >= self._write_queue_depth
-
     def has_pending_work(self) -> bool:
         """True while any request is still queued."""
         return bool(self._read_count or self._write_count)
-
-    def has_pending_wakeups(self) -> bool:
-        """True when any busy bank is waiting to be re-examined."""
-        return bool(self._wakeup_cycle)
-
-    def pending_requests_for_bank(self, flat_bank: int) -> int:
-        """Queued reads plus writes currently targeting ``flat_bank``."""
-        reads = self._reads_by_bank.get(flat_bank)
-        writes = self._writes_by_bank.get(flat_bank)
-        return (len(reads) if reads else 0) + (len(writes) if writes else 0)
 
     def wakeup_view(self) -> tuple[list, dict]:
         """The live ``(wake-up heap, wake-cycle dict)`` pair of this channel.
@@ -176,8 +150,7 @@ class ChannelController:
         Answered from the lazily-invalidated min-heap: stale heads (entries
         superseded by an earlier wake-up or already woken) are popped until
         the head matches the live per-bank wake cycle.  KEEP the stale-head
-        rule IN SYNC with the inlined peeks in
-        ``MemoryController.next_wakeup`` and ``Simulator._run``.
+        rule IN SYNC with the inlined peeks in ``Simulator._run``.
         """
         heap = self._wakeup_heap
         live = self._wakeup_cycle
@@ -187,46 +160,6 @@ class ChannelController:
                 return cycle
             heappop(heap)
         return None
-
-    @property
-    def total_read_latency(self) -> int:
-        """Sum of completed read latencies in cycles (exact integer)."""
-        return sum(latency * count
-                   for latency, count in self.read_latencies.items())
-
-    def average_read_latency(self) -> float:
-        """Mean read latency (cycles) over completed reads."""
-        if self.completed_reads == 0:
-            return 0.0
-        return self.total_read_latency / self.completed_reads
-
-    def read_latency_histogram(self):
-        """Read-latency distribution as a telemetry histogram view.
-
-        The returned :class:`~repro.sim.telemetry.LatencyHistogram` wraps
-        the live counts (no copy); callers that mutate it should merge
-        into a fresh histogram instead.
-        """
-        from repro.sim.telemetry import LatencyHistogram
-        return LatencyHistogram(self.read_latencies)
-
-    def write_latency_histogram(self):
-        """Write-latency distribution as a telemetry histogram view."""
-        from repro.sim.telemetry import LatencyHistogram
-        return LatencyHistogram(self.write_latencies)
-
-    def telemetry_counters(self) -> dict[str, int]:
-        """Cumulative counters for the telemetry epoch sampler.
-
-        Uniform stats-producer protocol (see :mod:`repro.sim.telemetry`).
-        Queue occupancies are instantaneous values, not cumulative counts,
-        and are therefore exposed separately (``read_queue_occupancy``).
-        """
-        return {
-            "completed_reads": self.completed_reads,
-            "completed_writes": self.completed_writes,
-            "total_read_latency": self.total_read_latency,
-        }
 
     # ------------------------------------------------------------------
     # Event entry points.

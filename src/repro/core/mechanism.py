@@ -70,21 +70,6 @@ class MechanismStats:
             return 0.0
         return self.cache_hits / self.cache_lookups
 
-    def telemetry_counters(self) -> dict[str, int]:
-        """Cumulative counters for the telemetry epoch sampler.
-
-        Uniform stats-producer protocol (see :mod:`repro.sim.telemetry`).
-        """
-        return {
-            "cache_lookups": self.cache_lookups,
-            "cache_hits": self.cache_hits,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "dirty_writebacks": self.dirty_writebacks,
-            "relocation_cycles": self.relocation_cycles,
-            "relocation_operations": self.relocation_operations,
-        }
-
 
 class CachingMechanism(abc.ABC):
     """Base class for in-DRAM caching mechanisms (and the no-cache Base)."""

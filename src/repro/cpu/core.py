@@ -63,21 +63,6 @@ class CoreStats:
             return 0.0
         return self.instructions / self.finish_cycle
 
-    def telemetry_counters(self) -> dict[str, int]:
-        """Cumulative counters for the telemetry epoch sampler.
-
-        Uniform stats-producer protocol (see :mod:`repro.sim.telemetry`).
-        """
-        return {
-            "instructions": self.instructions,
-            "memory_instructions": self.memory_instructions,
-            "llc_miss_loads": self.llc_miss_loads,
-            "llc_miss_stores": self.llc_miss_stores,
-            "writebacks": self.writebacks,
-            "stall_cycles_window": self.stall_cycles_window,
-            "stall_cycles_mshr": self.stall_cycles_mshr,
-        }
-
 
 #: Compiled traces kept per process, least recently used dropped first
 #: (every figure runs each trace under three or more configurations).

@@ -404,9 +404,8 @@ class Bank:
         """Issue an ACTIVATE for ``row``; returns the earliest column cycle."""
         if not already_constrained and earliest < self._next_act_allowed:
             earliest = self._next_act_allowed
-        # Inline rank activation pacing (Rank.constrain_activate +
-        # note_activate): tRRD from the previous ACTIVATE, tFAW over the
-        # last four.
+        # Rank activation pacing: tRRD from the previous ACTIVATE, tFAW
+        # over the last four.
         rank = self._rank
         act_cycle = earliest
         rrd_earliest = rank._last_activate + self._trrd

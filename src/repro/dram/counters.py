@@ -106,26 +106,6 @@ class CommandCounters:
                 in sorted(self.row_activation_counts.items())],
         }
 
-    def telemetry_counters(self) -> dict[str, int]:
-        """Cumulative scalar counters for the telemetry epoch sampler.
-
-        Part of the uniform stats-producer protocol (see
-        :mod:`repro.sim.telemetry`): every producer exposes its cumulative
-        integers under stable names so samplers and probes can diff them
-        across epochs without knowing the producer's class.
-        """
-        return {
-            "activates": self.activates,
-            "precharges": self.precharges,
-            "reads": self.reads,
-            "writes": self.writes,
-            "refreshes": self.refreshes,
-            "relocs": self.relocs,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "row_conflicts": self.row_conflicts,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "CommandCounters":
         """Rebuild counters from :meth:`to_dict` output.

@@ -75,22 +75,6 @@ class Rank:
         return self._timing
 
     # ------------------------------------------------------------------
-    # Activation pacing (tRRD / tFAW).
-    # ------------------------------------------------------------------
-    def constrain_activate(self, cycle: int) -> int:
-        """Return the earliest cycle an ACTIVATE may issue, given tRRD/tFAW."""
-        earliest = max(cycle, self._last_activate + self._timing.trrd)
-        if len(self._recent_activates) == 4:
-            oldest = self._recent_activates[0]
-            earliest = max(earliest, oldest + self._timing.tfaw)
-        return earliest
-
-    def note_activate(self, cycle: int) -> None:
-        """Record that an ACTIVATE was issued at ``cycle``."""
-        self._last_activate = cycle
-        self._recent_activates.append(cycle)
-
-    # ------------------------------------------------------------------
     # Refresh.
     # ------------------------------------------------------------------
     @property

@@ -112,6 +112,8 @@ class CacheStats:
     disk_compressed: int = 0
     #: Disk entries still in the pre-sharding flat layout.
     disk_legacy: int = 0
+    #: Shard directories holding at least one disk entry.
+    shards: int = 0
     #: Loads that failed to decode or checksum (corrupt entries seen).
     decode_failures: int = 0
     #: Corrupt files this cache moved into the quarantine directory.
@@ -446,6 +448,7 @@ class ResultCache:
                            decode_failures=self._decode_failures,
                            quarantined=self._quarantined)
         if self.persistent:
+            shards = set()
             for key, (path, size) in self.index().items():
                 stats.disk_entries += 1
                 stats.disk_bytes += size
@@ -453,6 +456,9 @@ class ResultCache:
                     stats.disk_compressed += 1
                 if path.parent == self.directory:
                     stats.disk_legacy += 1
+                else:
+                    shards.add(path.parent)
+            stats.shards = len(shards)
             quarantine = self.directory / QUARANTINE_DIR
             if quarantine.is_dir():
                 stats.quarantine_entries = sum(

@@ -7,7 +7,8 @@
   configuration the paper evaluates (Base, LISA-VILLA, FIGCache-Slow/-Fast/
   -Ideal, LL-DRAM).
 * :mod:`repro.sim.system` — builds a :class:`System` (cores + caches +
-  controller + DRAM + mechanism) from a configuration and a set of traces.
+  DRAM + one controller and mechanism per channel) from a configuration
+  and a set of traces.
 * :mod:`repro.sim.simulator` — the global event loop co-simulating the cores
   and the memory system.
 * :mod:`repro.sim.metrics` — :class:`SimulationResult` with IPC, weighted

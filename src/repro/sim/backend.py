@@ -1,29 +1,23 @@
 """The name of the simulation event core, as benchmark reports record it.
 
 The repository has one event core, :class:`~repro.sim.simulator.Simulator`,
-which :meth:`System.run <repro.sim.system.System.run>` builds through
-:func:`resolve_backend`.  External benchmark harnesses record
-``resolve_backend().name`` in every report so that numbers from different
-event cores are never compared; this module keeps that one entry, named
-``"python"``, so the recorded name is always the core that ran.
+which :meth:`System.run <repro.sim.system.System.run>` builds directly.
+External benchmark harnesses record ``resolve_backend().name`` in every
+report so that numbers from different event cores are never compared; this
+module keeps that one entry, named ``"python"``, so the recorded name is
+always the core that ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.simulator import Simulator
-
 
 @dataclass(frozen=True)
 class SimulationBackend:
-    """The event core: its report name and how to build it for one run."""
+    """The event core's report name."""
 
     name: str
-
-    def create(self, cores, controller, limits=None, telemetry=None):
-        """Build the reference :class:`~repro.sim.simulator.Simulator`."""
-        return Simulator(cores, controller, limits, telemetry=telemetry)
 
 
 _EVENT_CORE = SimulationBackend(name="python")

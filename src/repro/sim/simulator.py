@@ -31,9 +31,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.controller.controller import MemoryController
+from repro.controller.channel_controller import ChannelController
 from repro.controller.request import MemoryRequest
 from repro.cpu.core import TraceCore
+from repro.dram.address import AddressMapper
 
 _CORE_RUN = 0
 _REQUEST_ARRIVAL = 1
@@ -93,16 +94,22 @@ class SimulatorLimits:
 class Simulator:
     """Event-driven co-simulation of cores and the memory system."""
 
-    __slots__ = ('_cores', '_controller', '_limits', '_events', '_sequence',
-                 '_now', '_scheduled_wake', '_telemetry', 'processed_events')
+    __slots__ = ('_cores', '_channel_controllers', '_mapper', '_limits',
+                 '_events', '_sequence', '_now', '_scheduled_wake',
+                 '_telemetry', 'processed_events')
 
-    def __init__(self, cores: list[TraceCore], controller: MemoryController,
+    def __init__(self, cores: list[TraceCore],
+                 channel_controllers: list[ChannelController],
+                 mapper: AddressMapper,
                  limits: SimulatorLimits | None = None,
                  telemetry=None):
         if not cores:
             raise ValueError("at least one core is required")
         self._cores = cores
-        self._controller = controller
+        #: One controller per channel, in channel order; ``mapper`` routes
+        #: each arriving request to its channel's controller.
+        self._channel_controllers = channel_controllers
+        self._mapper = mapper
         self._limits = limits or SimulatorLimits()
         #: Optional epoch sampler (:class:`repro.sim.telemetry.Telemetry`).
         #: The loop compares the clock against its next epoch boundary and
@@ -146,30 +153,31 @@ class Simulator:
         heappop = heapq.heappop
         heappush = heapq.heappush
         sequence = self._sequence
-        controller = self._controller
+        channel_controllers = tuple(self._channel_controllers)
         cores = self._cores
         max_cycles = self._limits.max_cycles
         max_events = self._limits.max_events
         #: The per-channel (wake-up heap, live wake cycle) pairs, hoisted so
         #: the loop peeks the lazily-invalidated heaps directly instead of
-        #: calling MemoryController.next_wakeup after every event (the
-        #: invalidation rule matches ChannelController.next_wakeup: a head
-        #: whose cycle disagrees with the live dict is stale).  The
-        #: snapshot stays live by the wakeup_view accessor contract (no
-        #: rebinding after construction), verified after the loop.
-        wakeup_views = [cc.wakeup_view()
-                        for cc in controller.channel_controllers]
-        #: With one channel (every single-core job) wake delivery can skip
-        #: the MemoryController fan-out entirely.
-        single_controller = controller.channel_controllers[0] \
-            if len(controller.channel_controllers) == 1 else None
+        #: calling ChannelController.next_wakeup after every event (the
+        #: invalidation rule matches it: a head whose cycle disagrees with
+        #: the live dict is stale).  The snapshot stays live by the
+        #: wakeup_view accessor contract (no rebinding after
+        #: construction), verified after the loop.
+        wakeup_views = [cc.wakeup_view() for cc in channel_controllers]
+        #: With one channel (every single-core job) wake delivery skips
+        #: the channel fan-out; otherwise each channel with a live wake-up
+        #: entry is woken, in channel order.
+        single_controller = channel_controllers[0] \
+            if len(channel_controllers) == 1 else None
+        wake_fanout = tuple((cc, live) for cc, (_, live)
+                            in zip(channel_controllers, wakeup_views))
         #: The shared route memo of this device's geometry, probed inline;
         #: a miss goes through AddressMapper.route, its only writer.  The
         #: memo is cleared in place when full, never rebound, so this
         #: reference stays live for the whole run.
-        routes = controller.device.mapper.routes
-        route_miss = controller.device.mapper.route
-        channel_controllers = controller.channel_controllers
+        routes = self._mapper.routes
+        route_miss = self._mapper.route
         processed = self.processed_events
         telemetry = self._telemetry
         #: Next telemetry epoch boundary; with telemetry off the sentinel
@@ -196,7 +204,7 @@ class Simulator:
             processed += 1
 
             if kind == _REQUEST_ARRIVAL:
-                # Inline MemoryController.enqueue (route probe + delegate).
+                # Route to the request's channel (memo probe inline).
                 entry = routes.get(payload.address)
                 if entry is None:
                     entry = route_miss(payload.address)
@@ -254,7 +262,10 @@ class Simulator:
                     if single_controller is not None:
                         woken = single_controller.wake(cycle)
                     else:
-                        woken = controller.wake(cycle)
+                        woken = []
+                        for cc, live in wake_fanout:
+                            if live:
+                                woken.extend(cc.wake(cycle))
                     for request in woken:
                         if request.is_write:
                             continue
@@ -287,8 +298,7 @@ class Simulator:
         self._now = max(self._now, cycle)
         self.processed_events = processed
         if __debug__:
-            for (heap, live), cc in zip(wakeup_views,
-                                        controller.channel_controllers):
+            for (heap, live), cc in zip(wakeup_views, channel_controllers):
                 current_heap, current_live = cc.wakeup_view()
                 assert heap is current_heap and live is current_live, (
                     "ChannelController rebound its wake-up structures "
@@ -299,8 +309,8 @@ class Simulator:
         # command counts and energy reflect the whole workload.
         finish_cycle = max((core.stats.finish_cycle for core in self._cores),
                           default=self._now)
-        drain_cycle = self._controller.drain_all(self._now)
-        self._now = max(self._now, drain_cycle, finish_cycle)
+        drained = [cc.drain_all(self._now)[0] for cc in channel_controllers]
+        self._now = max(self._now, finish_cycle, *drained)
         if telemetry is not None:
             # Close the trailing partial epoch (includes the write drain).
             telemetry.finalize(self._now)

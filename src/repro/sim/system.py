@@ -1,23 +1,23 @@
 """System assembly and the one-call workload runner.
 
 :class:`System` wires a :class:`~repro.sim.config.SystemConfig` and a set of
-per-core traces into cores, caches, the memory controller, the DRAM device,
-and the caching mechanism, runs the event-driven simulation, and produces a
-:class:`~repro.sim.metrics.SimulationResult` including the energy breakdown.
+per-core traces into cores, caches, the DRAM device, and one memory
+controller and caching mechanism per channel, runs the event-driven
+simulation, and produces a :class:`~repro.sim.metrics.SimulationResult`
+including the energy breakdown.
 """
 
 from __future__ import annotations
 
-from repro.controller.controller import MemoryController
+from repro.controller.channel_controller import ChannelController
 from repro.cpu.core import TraceCore
 from repro.dram.device import DRAMDevice
 from repro.energy.system_energy import (SystemActivity, SystemEnergyModel,
                                          SystemEnergyParams)
-from repro.sim.backend import resolve_backend
 from repro.sim.config import SystemConfig, make_mechanism
 from repro.sim.metrics import CoreResult, SimulationResult
-from repro.sim.simulator import SimulatorLimits
-from repro.sim.telemetry import Telemetry, TelemetryResult
+from repro.sim.simulator import Simulator, SimulatorLimits
+from repro.sim.telemetry import LatencyHistogram, Telemetry, TelemetryResult
 from repro.workloads.trace import TraceRecord
 
 
@@ -36,8 +36,11 @@ class System:
                                  refresh_enabled=config.refresh_enabled,
                                  track_row_activations=config.track_row_activations)
         self.mechanisms = make_mechanism(config)
-        self.controller = MemoryController(self.device, self.mechanisms,
-                                           config.scheduler)
+        #: One controller per channel, each with that channel's mechanism.
+        self.channel_controllers = [
+            ChannelController(channel, mechanism, config.scheduler)
+            for channel, mechanism in zip(self.device.channels,
+                                          self.mechanisms, strict=True)]
         self.cores = [TraceCore(core_id, trace, config.core)
                       for core_id, trace in enumerate(traces)]
         if energy_params is None and config.dram_energy is not None:
@@ -51,7 +54,7 @@ class System:
         #: config digest and never changes simulated results.
         self.tracer = tracer
         if tracer is not None:
-            tracer.install(self)
+            tracer.install(self.channel_controllers)
         #: Simulator events processed by the most recent :meth:`run` call
         #: (used by the perf benchmark harness to report events/sec).
         self.processed_events = 0
@@ -61,9 +64,10 @@ class System:
         telemetry = None
         if self.config.telemetry is not None:
             telemetry = Telemetry(self.config.telemetry, self.cores,
-                                  self.controller, self.mechanisms)
-        simulator = resolve_backend().create(self.cores, self.controller,
-                                             self._limits, telemetry=telemetry)
+                                  self.channel_controllers)
+        simulator = Simulator(self.cores, self.channel_controllers,
+                              self.device.mapper, self._limits,
+                              telemetry=telemetry)
         simulator.run()
         self.processed_events = simulator.processed_events
 
@@ -88,6 +92,14 @@ class System:
         relocation_cycles = sum(m.stats.relocation_cycles
                                 for m in self.mechanisms)
         hit_rate = cache_hits / cache_lookups if cache_lookups else 0.0
+        # The one place per-channel controller counters are summed.  Every
+        # completion adds one count to its direction's latency dict, so the
+        # merged read histogram's mean is the exact-integer mean latency.
+        read_latency = LatencyHistogram()
+        write_latency = LatencyHistogram()
+        for controller in self.channel_controllers:
+            read_latency.merge(LatencyHistogram(controller.read_latencies))
+            write_latency.merge(LatencyHistogram(controller.write_latencies))
 
         result = SimulationResult(
             configuration=self.config.name,
@@ -99,9 +111,11 @@ class System:
             in_dram_cache_hit_rate=hit_rate,
             cache_lookups=cache_lookups,
             cache_hits=cache_hits,
-            average_read_latency_cycles=self.controller.average_read_latency(),
-            memory_reads=self.controller.completed_reads,
-            memory_writes=self.controller.completed_writes,
+            average_read_latency_cycles=read_latency.mean,
+            memory_reads=sum(controller.completed_reads
+                             for controller in self.channel_controllers),
+            memory_writes=sum(controller.completed_writes
+                              for controller in self.channel_controllers),
             relocation_operations=relocation_ops,
             relocation_cycles=relocation_cycles,
         )
@@ -109,8 +123,8 @@ class System:
             result.telemetry = TelemetryResult(
                 epoch_cycles=telemetry.epoch_cycles,
                 cpu_clock_ghz=clock_ghz,
-                read_latency=self.controller.read_latency_histogram(),
-                write_latency=self.controller.write_latency_histogram(),
+                read_latency=read_latency,
+                write_latency=write_latency,
                 epochs=telemetry.series,
             )
         result.energy = self._compute_energy(result)

@@ -50,8 +50,8 @@ class TelemetryConfig:
     telemetry on: the result gains a :class:`TelemetryResult` section and
     the simulator samples the epoch time series.  Latency histograms are
     maintained unconditionally by the channel controllers (they are the
-    storage behind ``average_read_latency``), so enabling telemetry only
-    changes what is *reported*, never what is simulated.
+    storage behind ``average_read_latency_cycles``), so enabling telemetry
+    only changes what is *reported*, never what is simulated.
     """
 
     #: Epoch length for the time series, in CPU cycles.
@@ -305,21 +305,19 @@ class Telemetry:
     """
 
     __slots__ = ('epoch_cycles', 'next_epoch', 'series', '_cores',
-                 '_channel_controllers', '_channels', '_mechanisms',
-                 '_probes', '_last')
+                 '_channel_controllers', '_probes', '_last')
 
-    def __init__(self, config: TelemetryConfig, cores, controller,
-                 mechanisms) -> None:
+    def __init__(self, config: TelemetryConfig, cores,
+                 channel_controllers) -> None:
         self.epoch_cycles = config.epoch_cycles
         #: End boundary of the epoch currently being accumulated.  The
         #: simulator compares the event clock against this every event.
         self.next_epoch = config.epoch_cycles
         self.series = EpochSeries()
         self._cores = list(cores)
-        self._channel_controllers = list(controller.channel_controllers)
-        self._channels = [channel_controller.channel
-                          for channel_controller in self._channel_controllers]
-        self._mechanisms = list(mechanisms)
+        #: One controller per channel; each also leads to its channel's
+        #: command counters and caching mechanism.
+        self._channel_controllers = list(channel_controllers)
         #: Registered ``(name, callable)`` probes, sampled every epoch.
         self._probes: list[tuple[str, object]] = []
         #: Cumulative snapshot at the previous epoch boundary, in
@@ -365,36 +363,21 @@ class Telemetry:
             self._sample(cycle)
 
     def _sample(self, end_cycle: int) -> None:
-        # Every cumulative value is read through the producers' uniform
-        # ``telemetry_counters()`` protocol, so the counter names here are
-        # the protocol's names — a renamed counter fails loudly (KeyError)
-        # instead of silently sampling stale attributes.  Sampling runs
-        # once per epoch, so the snapshot dicts cost nothing that matters.
-        instructions = 0
-        for core in self._cores:
-            instructions += core.stats.telemetry_counters()["instructions"]
-        reads = 0
-        writes = 0
-        for channel_controller in self._channel_controllers:
-            counters = channel_controller.telemetry_counters()
-            reads += counters["completed_reads"]
-            writes += counters["completed_writes"]
-        row_hits = 0
-        row_misses = 0
-        row_conflicts = 0
-        for channel in self._channels:
-            counters = channel.counters.telemetry_counters()
-            row_hits += counters["row_hits"]
-            row_misses += counters["row_misses"]
-            row_conflicts += counters["row_conflicts"]
-        lookups = 0
-        hits = 0
-        for mechanism in self._mechanisms:
-            counters = mechanism.stats.telemetry_counters()
-            lookups += counters["cache_lookups"]
-            hits += counters["cache_hits"]
-        current = (instructions, reads, writes, row_hits, row_misses,
-                   row_conflicts, lookups, hits)
+        # Cumulative counters, in EPOCH_COLUMNS order minus end_cycle.
+        controllers = self._channel_controllers
+        dram = [controller.channel.counters for controller in controllers]
+        mechanisms = [controller.mechanism.stats
+                      for controller in controllers]
+        current = (
+            sum(core.stats.instructions for core in self._cores),
+            sum(controller.completed_reads for controller in controllers),
+            sum(controller.completed_writes for controller in controllers),
+            sum(counters.row_hits for counters in dram),
+            sum(counters.row_misses for counters in dram),
+            sum(counters.row_conflicts for counters in dram),
+            sum(stats.cache_lookups for stats in mechanisms),
+            sum(stats.cache_hits for stats in mechanisms),
+        )
         last = self._last
         self._last = current
         series = self.series
@@ -408,9 +391,9 @@ class Telemetry:
         series.cache_lookups.append(current[6] - last[6])
         series.cache_hits.append(current[7] - last[7])
         series.queue_depths.append(
-            [channel_controller.read_queue_occupancy
-             + channel_controller.write_queue_occupancy
-             for channel_controller in self._channel_controllers])
+            [controller.read_queue_occupancy
+             + controller.write_queue_occupancy
+             for controller in controllers])
         for name, probe in self._probes:
             series.extra[name].append(probe(end_cycle))
 

@@ -143,19 +143,18 @@ class EventTracer:
     # ------------------------------------------------------------------
     # Installation.
     # ------------------------------------------------------------------
-    def install(self, system) -> None:
-        """Attach this tracer to an assembled :class:`~repro.sim.system.System`.
+    def install(self, channel_controllers) -> None:
+        """Attach this tracer to an assembled system's channel controllers.
 
         Sets the ``tracer`` attribute on every channel controller (command
-        and request hooks), every channel (refresh hook), and every
-        mechanism (insert/evict hooks).  ``System.__init__`` calls this
-        when constructed with a tracer.
+        and request hooks), its channel (refresh hook), and its mechanism
+        (insert/evict hooks).  ``System.__init__`` calls this when
+        constructed with a tracer.
         """
-        for controller in system.controller.channel_controllers:
+        for controller in channel_controllers:
             controller.tracer = self
             controller.channel.tracer = self
-        for mechanism in system.mechanisms:
-            mechanism.tracer = self
+            controller.mechanism.tracer = self
 
 
 # ----------------------------------------------------------------------

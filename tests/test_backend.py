@@ -1,12 +1,13 @@
 """Tests for the event core's name, its wake-up accessor contract, and the
 config digest.
 
-* **One named event core** — every run builds its simulator through
-  ``resolve_backend()``, whose one entry is named ``"python"``.  Benchmark
-  reports record that name and refuse to compare numbers across names, so
-  it is pinned here, and a leftover ``REPRO_SIM_BACKEND`` in the
-  environment selects nothing.  Tests that run a simulation take the core's
-  name as a parameter, so their ids say which core produced the result.
+* **One named event core** — every run builds the one
+  :class:`~repro.sim.simulator.Simulator`, and ``resolve_backend()``
+  names it ``"python"``.  Benchmark reports record that name and refuse
+  to compare numbers across names, so it is pinned here, and a leftover
+  ``REPRO_SIM_BACKEND`` in the environment selects nothing.  Tests that
+  run a simulation take the core's name as a parameter, so their ids say
+  which core produced the result.
 * **Tracing parity** — a tracer observes the run; it never changes results,
   on the single-core path or the multi-channel, multi-core one.
 * **Digest** — ``config_digest`` keys every on-disk result, so it must see
@@ -56,11 +57,11 @@ def _build_system(backend: str, channels: int = 1) -> System:
 
 class TestBackendSelection:
     def test_default_resolution(self):
-        backend = resolve_backend()
-        assert backend.name == EVENT_CORE
+        assert resolve_backend().name == EVENT_CORE
         system = _build_system(EVENT_CORE)
-        simulator = backend.create(system.cores, system.controller)
-        assert type(simulator) is Simulator
+        simulator = Simulator(system.cores, system.channel_controllers,
+                              system.device.mapper)
+        assert simulator.run() > 0
 
     def test_empty_env_falls_through_to_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BACKEND", "")
@@ -131,7 +132,7 @@ class TestWakeupViewContract:
 
     def test_wakeup_view_is_stable_across_a_run(self):
         system = _build_system(EVENT_CORE)
-        cc = system.controller.channel_controllers[0]
+        cc = system.channel_controllers[0]
         heap_before, live_before = cc.wakeup_view()
         system.run("mcf")
         heap_after, live_after = cc.wakeup_view()
@@ -139,13 +140,13 @@ class TestWakeupViewContract:
         assert live_after is live_before
 
     # One channel takes the loop's single-controller wake path, two the
-    # MemoryController fan-out.
+    # channel fan-out.
     @pytest.mark.parametrize("backend,channels",
                              ((EVENT_CORE, 1), (EVENT_CORE, 2)))
     def test_rebinding_controller_fails_loudly(self, backend, channels):
         """A contract violation must crash the run, not corrupt it."""
         system = _build_system(backend, channels)
-        for cc in system.controller.channel_controllers:
+        for cc in system.channel_controllers:
             cc.__class__ = _RebindingCC
         with pytest.raises((AssertionError, RuntimeError)):
             system.run("mcf")

@@ -9,6 +9,9 @@ subcommands are exercised end to end elsewhere (``test_engine.py`` and
 import pytest
 
 from repro import cli
+from repro.experiments.engine import (ExperimentScale, JobExecutor,
+                                      ResultCache)
+from repro.experiments.engine.spec import SimJob
 from repro.sim.telemetry import DEFAULT_EPOCH_CYCLES
 
 
@@ -109,6 +112,21 @@ class TestOutputSmoke:
         assert "disk entries    : 0" in out
         assert "salt" in out
 
+    def test_cache_stats_counts_a_stored_result(self, tmp_path, capsys):
+        cache = ResultCache(str(tmp_path))
+        with JobExecutor(cache=cache, jobs=1) as executor:
+            executor.run([SimJob.single_core("Base", "gcc",
+                                             ExperimentScale.tiny())])
+        assert executor.simulations_executed == 1
+        stats = cache.stats()
+        assert (stats.stores, stats.disk_entries, stats.shards) == (1, 1, 1)
+        assert cli.main(["cache", "stats",
+                         "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "disk entries    : 1" in out
+        assert "shards          : 1" in out
+        assert "legacy entries  : 0" in out
+
     def test_cache_clear_empty_directory(self, tmp_path, capsys):
         assert cli.main(["cache", "clear",
                          "--cache-dir", str(tmp_path)]) == 0
@@ -151,3 +169,14 @@ class TestRemovedOptions:
             cli.main(argv)
         assert excinfo.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", (
+        (["metrics"], "invalid choice: 'metrics'"),
+        (["sweep", "--metrics-out", "m.json"], "unrecognized arguments"),
+    ))
+    def test_metrics_subcommand_and_flag_are_gone(self, argv, message,
+                                                  capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import BaseMechanism
-from repro.controller import (FRFCFSScheduler, MemoryController,
+from repro.controller import (ChannelController, FRFCFSScheduler,
                               MemoryRequest)
 from repro.core import FIGCache
 from repro.cpu import (CacheConfig, CacheHierarchy, CoreConfig,
@@ -24,20 +24,20 @@ from repro.dram import AddressMapper, DRAMConfig, DRAMDevice
 from repro.dram import address as address_module
 from repro.dram.standards import STANDARD_NAMES
 from repro.sim.config import CONFIGURATION_NAMES, make_system_config
+from repro.sim.simulator import Simulator, SimulatorLimits
 from repro.sim.system import System
+from repro.sim.telemetry import LatencyHistogram
 from repro.workloads.catalog import BENCHMARKS
 from repro.workloads.trace import TraceRecord
 
 
-def make_controller(mechanism_name="base", channels=1):
-    config = DRAMConfig(channels=channels, fast_subarrays_per_bank=2)
+def make_controller(mechanism_name="base"):
+    """A one-channel device and the controller of its only channel."""
+    config = DRAMConfig(fast_subarrays_per_bank=2)
     device = DRAMDevice(config, refresh_enabled=False)
-    if mechanism_name == "base":
-        mechanisms = [BaseMechanism() for _ in range(channels)]
-    else:
-        mechanisms = [FIGCache(config) for _ in range(channels)]
-    controller = MemoryController(device, mechanisms)
-    return device, controller
+    mechanism = BaseMechanism() if mechanism_name == "base" \
+        else FIGCache(config)
+    return device, ChannelController(device.channel(0), mechanism)
 
 
 def make_request(device, address, is_write=False, core_id=0, arrival=0):
@@ -69,9 +69,8 @@ class TestRequests:
 
 class TestFRFCFS:
     def test_prefers_row_hit_over_older_request(self):
-        device, controller = make_controller()
+        device, cc = make_controller()
         channel = device.channel(0)
-        cc = controller.channel_controllers[0]
         # Open row A in bank 0.
         open_req = make_request(device, 0x0)
         cc.enqueue(open_req, 0)
@@ -86,7 +85,7 @@ class TestFRFCFS:
         assert picked is row_a_block1
 
     def test_falls_back_to_oldest_without_hits(self):
-        device, controller = make_controller()
+        device, _ = make_controller()
         channel = device.channel(0)
         scheduler = FRFCFSScheduler()
         first = make_request(device, 0x100000)
@@ -116,85 +115,180 @@ class TestFRFCFS:
 
 
 # ----------------------------------------------------------------------
-# Channel controller / memory controller.
+# Channel controller.
 # ----------------------------------------------------------------------
 class TestChannelController:
     def test_enqueue_requires_decoded_request(self):
-        device, controller = make_controller()
-        cc = controller.channel_controllers[0]
+        device, cc = make_controller()
         raw = MemoryRequest(0, 64, False, 0)
         with pytest.raises(ValueError):
             cc.enqueue(raw, 0)
 
     def test_read_completes_with_outcome_metadata(self):
-        device, controller = make_controller()
+        device, cc = make_controller()
         request = make_request(device, 0x5000)
-        completed = controller.enqueue(request, 0)
+        completed = cc.enqueue(request, 0)
         assert completed == [request]
         assert request.completion_cycle > 0
         assert request.row_buffer_outcome == "miss"
-        assert controller.completed_reads == 1
+        assert cc.completed_reads == 1
 
     def test_row_hits_have_lower_latency_than_misses(self):
-        device, controller = make_controller()
+        device, cc = make_controller()
         miss = make_request(device, 0x5000)
-        controller.enqueue(miss, 0)
+        cc.enqueue(miss, 0)
         hit = make_request(device, 0x5040, arrival=miss.completion_cycle)
-        controller.enqueue(hit, miss.completion_cycle)
+        cc.enqueue(hit, miss.completion_cycle)
         assert hit.latency < miss.latency
         assert hit.row_buffer_outcome == "hit"
 
     def test_busy_bank_defers_service_until_wake(self):
-        device, controller = make_controller()
+        device, cc = make_controller()
         first = make_request(device, 0x5000)
-        controller.enqueue(first, 0)
+        cc.enqueue(first, 0)
         # Arrives while the bank is still busy with ``first``.
         second = make_request(device, 0x5000 + 4 * 8192 * 16, arrival=1)
-        completed = controller.enqueue(second, 1)
+        completed = cc.enqueue(second, 1)
         assert completed == []
-        wake = controller.next_wakeup()
+        wake = cc.next_wakeup()
         assert wake is not None
-        completed = controller.wake(wake)
+        completed = cc.wake(wake)
         assert second in completed
 
     def test_average_read_latency_tracks_reads_only(self):
-        device, controller = make_controller()
+        device, cc = make_controller()
         read = make_request(device, 0x9000)
-        controller.enqueue(read, 0)
-        cc = controller.channel_controllers[0]
+        cc.enqueue(read, 0)
         for _ in range(20):
             cc.enqueue(make_request(device, 0x9040, is_write=True), 0)
-        assert controller.average_read_latency() == read.latency
+        assert LatencyHistogram(cc.read_latencies).mean == read.latency
 
     def test_drain_all_flushes_queued_writes(self):
-        device, controller = make_controller()
-        cc = controller.channel_controllers[0]
+        device, cc = make_controller()
         for index in range(8):
             cc.enqueue(make_request(device, 0x10000 + index * 64,
                                     is_write=True), 0)
         assert cc.write_queue_occupancy > 0
-        controller.drain_all(0)
+        cc.drain_all(0)
         assert cc.write_queue_occupancy == 0
 
     def test_mechanism_statistics_reachable_through_controller(self):
-        device, controller = make_controller("figcache")
+        device, cc = make_controller("figcache")
         request = make_request(device, 0x20000)
-        controller.enqueue(request, 0)
-        mechanism = controller.channel_controllers[0].mechanism
-        assert mechanism.stats.cache_lookups == 1
+        cc.enqueue(request, 0)
+        assert cc.mechanism.stats.cache_lookups == 1
         assert request.in_dram_cache_hit is False
 
-    def test_channel_count_mismatch_rejected(self):
-        config = DRAMConfig(channels=2)
-        device = DRAMDevice(config)
+    def test_channel_count_mismatch_rejected(self, monkeypatch):
+        """System pairs channels and mechanisms strictly, one to one."""
+        monkeypatch.setattr("repro.sim.system.make_mechanism",
+                            lambda config: [BaseMechanism()])
+        config = make_system_config("Base", channels=2)
         with pytest.raises(ValueError):
-            MemoryController(device, [BaseMechanism()])
+            System(config, [[TraceRecord(bubbles=0, address=0,
+                                         is_write=False)]])
 
     def test_routing_uses_channel_bits(self):
-        device, controller = make_controller(channels=2)
-        request = MemoryRequest(0, 0x2000, False, 0)
-        chosen = controller.route(request)
-        assert chosen is controller.channel_controllers[request.decoded.channel]
+        device = DRAMDevice(DRAMConfig(channels=2), refresh_enabled=False)
+        channels = {device.mapper.route(address)[2]
+                    for address in range(0, 1 << 16, 64)}
+        assert channels == {0, 1}
+        decoded, _, channel = device.mapper.route(0x2000)
+        assert channel == decoded.channel
+
+
+# ----------------------------------------------------------------------
+# One controller per channel: System assembly, the simulator's channel
+# fan-out and final drain, and the per-channel sums in System.run.
+# ----------------------------------------------------------------------
+def run_four_channel_system(**overrides):
+    """Two write-heavy cores on four channels; returns (system, result).
+
+    The run takes about 15,000 events.  A wake-up lost in the channel
+    fan-out would re-arm forever, so the event cap turns it into a prompt
+    failure instead of a hang.
+    """
+    config = make_system_config("FIGCache-Fast", channels=4, **overrides)
+    traces = [BENCHMARKS["lbm"].make_trace(3000) for _ in range(2)]
+    system = System(config, traces,
+                    limits=SimulatorLimits(max_events=1_000_000))
+    return system, system.run("lbm-x2")
+
+
+class TestSystemChannels:
+    def test_one_controller_per_channel_with_its_mechanism(self):
+        config = make_system_config("FIGCache-Fast", channels=4)
+        system = System(config, [BENCHMARKS["mcf"].make_trace(64)])
+        controllers = system.channel_controllers
+        assert [cc.channel for cc in controllers] == system.device.channels
+        assert all(cc.channel is channel for cc, channel
+                   in zip(controllers, system.device.channels))
+        assert all(cc.mechanism is mechanism for cc, mechanism
+                   in zip(controllers, system.mechanisms, strict=True))
+        assert len({id(mechanism) for mechanism in system.mechanisms}) == 4
+
+    def test_run_sums_counters_across_channels(self):
+        system, result = run_four_channel_system()
+        controllers = system.channel_controllers
+        reads = [cc.completed_reads for cc in controllers]
+        writes = [cc.completed_writes for cc in controllers]
+        assert all(count > 0 for count in reads)
+        assert sum(count > 0 for count in writes) >= 2
+        assert result.memory_reads == sum(reads)
+        assert result.memory_writes == sum(writes)
+        # Every read and writeback a core sent came back through its
+        # channel's controller: none was lost in the wake fan-out.
+        assert result.memory_reads == sum(
+            core.stats.llc_miss_loads + core.stats.llc_miss_stores
+            for core in system.cores)
+        assert result.memory_writes == sum(core.stats.writebacks
+                                           for core in system.cores)
+        assert result.dram_counters.activates == sum(
+            cc.channel.counters.activates for cc in controllers)
+
+    def test_run_merges_channel_latency_histograms(self):
+        system, result = run_four_channel_system(telemetry=True)
+        controllers = system.channel_controllers
+        for direction in ("read", "write"):
+            merged = {}
+            for cc in controllers:
+                for latency, count in getattr(
+                        cc, f"{direction}_latencies").items():
+                    merged[latency] = merged.get(latency, 0) + count
+            histogram = getattr(result.telemetry, f"{direction}_latency")
+            assert histogram.counts == merged
+        total = sum(latency * count
+                    for cc in controllers
+                    for latency, count in cc.read_latencies.items())
+        assert result.average_read_latency_cycles \
+            == total / result.memory_reads
+        # The merge copies: the controllers' own dicts are not shared.
+        assert all(result.telemetry.read_latency.counts
+                   is not cc.read_latencies for cc in controllers)
+
+    def test_final_drain_flushes_every_channel(self):
+        device = DRAMDevice(DRAMConfig(channels=2), refresh_enabled=False)
+        controllers = [ChannelController(channel, BaseMechanism())
+                       for channel in device.channels]
+        by_channel = {0: [], 1: []}
+        for address in range(0x10000, 0x20000, 64):
+            by_channel[device.mapper.route(address)[2]].append(address)
+        # Fewer writes than the drain watermark: they stay queued until
+        # the end-of-run drain.
+        writes = []
+        for channel, addresses in by_channel.items():
+            for address in addresses[:4]:
+                request = make_request(device, address, is_write=True)
+                controllers[channel].enqueue(request, 0)
+                writes.append(request)
+        assert [cc.write_queue_occupancy for cc in controllers] == [4, 4]
+        core = TraceCore(0, [TraceRecord(bubbles=0, address=0x40000,
+                                         is_write=False)])
+        assert Simulator([core], controllers, device.mapper).run() > 0
+        assert [cc.has_pending_work() for cc in controllers] \
+            == [False, False]
+        assert [cc.completed_writes for cc in controllers] == [4, 4]
+        assert all(request.completion_cycle > 0 for request in writes)
 
 
 # ----------------------------------------------------------------------
@@ -670,20 +764,13 @@ def stored_routes():
         return sum(map(len, address_module._ROUTES.values()))
 
 
-def routing_controller(dram):
-    device = DRAMDevice(dram, refresh_enabled=False)
-    return MemoryController(device, [BaseMechanism()
-                                     for _ in device.channels])
-
-
-def assert_routed_like_a_fresh_decode(controller, address):
-    request = MemoryRequest(0, address, False, 0)
-    chosen = controller.route(request)
-    mapper = AddressMapper(controller.device.config)
-    decoded = mapper.decode(address)
-    assert request.decoded == decoded
-    assert request.flat_bank == mapper.flat_bank(decoded)
-    assert chosen is controller.channel_controllers[decoded.channel]
+def assert_routed_like_a_fresh_decode(mapper, address):
+    decoded, flat_bank, channel = mapper.route(address)
+    fresh = AddressMapper(mapper.config)
+    expected = fresh.decode(address)
+    assert decoded == expected
+    assert flat_bank == fresh.flat_bank(expected)
+    assert channel == expected.channel
 
 
 class CountingDecode:
@@ -708,7 +795,7 @@ class TestSharedRoutes:
     @settings(max_examples=150, deadline=None)
     def test_routes_match_a_fresh_decode(self, geometries, addresses):
         """Cold, warm, then two geometries interleaved on one address set."""
-        first, second = (routing_controller(dram) for dram in geometries)
+        first, second = (AddressMapper(dram) for dram in geometries)
         clear_routes()
         for _ in range(2):
             for address in addresses:
@@ -723,10 +810,10 @@ class TestSharedRoutes:
     @settings(max_examples=30, deadline=None)
     def test_negative_address_raises_and_stores_nothing(self, dram,
                                                         address):
-        controller = routing_controller(dram)
+        mapper = AddressMapper(dram)
         clear_routes()
         with pytest.raises(ValueError):
-            controller.route(MemoryRequest(0, address, False, 0))
+            mapper.route(address)
         assert stored_routes() == 0
 
     @pytest.mark.parametrize("name", CONFIGURATION_NAMES)
@@ -825,20 +912,25 @@ class TestSharedRoutes:
         assert address_module._stored == 1
 
     def test_enqueue_routes_through_the_shared_memo(self, monkeypatch):
-        """enqueue takes route's path: controllers of one geometry decode an
-        address once between them, and each queues it on its channel."""
+        """Two systems of one geometry decode an address once between
+        them, and each queues it on its own channel's controller."""
         dram = make_system_config("Base", channels=4).dram
-        controllers = [routing_controller(dram) for _ in range(2)]
+        devices = [DRAMDevice(dram, refresh_enabled=False)
+                   for _ in range(2)]
         address = 0x1234_5640
         expected = AddressMapper(dram).decode(address)
         clear_routes()
         counter = CountingDecode(monkeypatch)
-        for controller in controllers:
+        for device in devices:
+            controllers = [ChannelController(channel, BaseMechanism())
+                           for channel in device.channels]
             request = MemoryRequest(0, address, True, 0)
-            assert controller.enqueue(request, 0) == []
+            request.decoded, request.flat_bank, channel = \
+                device.mapper.route(address)
+            assert controllers[channel].enqueue(request, 0) == []
             assert request.decoded == expected
-            assert [channel.write_queue_occupancy
-                    for channel in controller.channel_controllers] \
+            assert [controller.write_queue_occupancy
+                    for controller in controllers] \
                 == [int(index == expected.channel) for index in range(4)]
         assert counter.calls == 1
 

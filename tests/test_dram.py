@@ -442,19 +442,35 @@ class TestRelocationSequence:
 # ----------------------------------------------------------------------
 # Rank constraints and refresh.
 # ----------------------------------------------------------------------
+def activate_banks_of_one_rank(count):
+    """Row-miss every one of ``count`` banks of one rank at cycle 0.
+
+    Returns each bank's ACTIVATE cycle, in issue order, and the rank's
+    timings.  Refresh is off, so only the rank pacing in
+    ``Bank._activate`` spaces the ACTIVATEs.
+    """
+    config = DRAMConfig()
+    rank = Rank(config.slow_timing_set(), refresh_enabled=False)
+    counters = CommandCounters()
+    banks = [Bank(config, rank,
+                  (0, 0, *divmod(index, config.banks_per_bankgroup)),
+                  counters)
+             for index in range(count)]
+    for bank in banks:
+        bank.access(0, 7, False, 0)
+    return [bank._last_act for bank in banks], rank.timing
+
+
 class TestRank:
     def test_trrd_spacing(self):
-        timing = TimingSet.from_timings(DRAMTimings())
-        rank = Rank(timing)
-        rank.note_activate(0)
-        assert rank.constrain_activate(1) >= timing.trrd
+        acts, timing = activate_banks_of_one_rank(2)
+        assert acts[1] - acts[0] >= timing.trrd
 
     def test_tfaw_limits_fifth_activate(self):
-        timing = TimingSet.from_timings(DRAMTimings())
-        rank = Rank(timing)
-        for cycle in (0, 1, 2, 3):
-            rank.note_activate(rank.constrain_activate(cycle))
-        assert rank.constrain_activate(4) >= timing.tfaw
+        acts, timing = activate_banks_of_one_rank(5)
+        # tRRD alone would allow the fifth ACTIVATE at 4 * tRRD.
+        assert timing.tfaw > 4 * timing.trrd
+        assert acts[4] - acts[0] >= timing.tfaw
 
     def test_refresh_due_and_perform(self):
         timing = TimingSet.from_timings(DRAMTimings())

@@ -266,10 +266,12 @@ class TestResultCache:
 
         fresh = ResultCache(tmp_path)
         assert fresh.stats().disk_legacy == 1
+        assert fresh.stats().shards == 0
         fresh.put(key, result)
         assert not flat.exists()
         assert fresh._path(key).is_file()
         assert fresh.stats().disk_legacy == 0
+        assert fresh.stats().shards == 1
         assert ResultCache(tmp_path).get(key) == result
 
     def test_clear_removes_legacy_flat_entries(self, tmp_path):

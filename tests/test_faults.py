@@ -557,21 +557,18 @@ class TestChaosScenario:
             assert executor.cache.stats().decode_failures >= 0
         assert as_dicts(rerun) == as_dicts(results)
 
-    def test_metrics_snapshot_carries_reliability_counters(self):
-        from repro.sim.metrics_export import metrics_snapshot
-
+    def test_executor_and_cache_carry_reliability_counters(self):
         with JobExecutor(cache=ResultCache(), jobs=1,
                          failure_policy="retry_then_skip",
                          retry=FAST_RETRY) as executor:
             executor.run(tiny_jobs("gcc") + [PoisonJob()])
-            snapshot = metrics_snapshot(executor=executor)
-        section = snapshot["executor"]
-        assert section["retries"] == FAST_RETRY.max_attempts - 1
-        assert section["jobs_skipped"] == 1
-        assert section["jobs_failed"] == 1
-        assert section["chunk_timeouts"] == 0
-        assert snapshot["cache"]["decode_failures"] == 0
-        assert snapshot["cache"]["quarantined"] == 0
+            cache_stats = executor.cache.stats()
+        assert executor.retries == FAST_RETRY.max_attempts - 1
+        assert executor.jobs_skipped == 1
+        assert executor.jobs_failed == 1
+        assert executor.chunk_timeouts == 0
+        assert cache_stats.decode_failures == 0
+        assert cache_stats.quarantined == 0
 
 
 # ----------------------------------------------------------------------

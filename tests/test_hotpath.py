@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import BaseMechanism
-from repro.controller import (FRFCFSScheduler, MemoryController,
+from repro.controller import (ChannelController, FRFCFSScheduler,
                               MemoryRequest, SchedulerConfig)
 from repro.dram import DRAMConfig, DRAMDevice
 from repro.core.tag_store import FigTagStore
@@ -77,8 +77,8 @@ class TestGoldenEquivalence:
 def _make_channel(scheduler_config=None):
     config = DRAMConfig(channels=1)
     device = DRAMDevice(config, refresh_enabled=False)
-    controller = MemoryController(device, [BaseMechanism()], scheduler_config)
-    return device, controller.channel_controllers[0]
+    return device, ChannelController(device.channel(0), BaseMechanism(),
+                                     scheduler_config)
 
 
 def _request(device, address, is_write=False, arrival=0):
@@ -219,9 +219,9 @@ def _tiny_sim(limits):
              for index in range(50)]
     config = DRAMConfig(channels=1)
     device = DRAMDevice(config, refresh_enabled=False)
-    controller = MemoryController(device, [BaseMechanism()])
+    controller = ChannelController(device.channel(0), BaseMechanism())
     core = TraceCore(0, trace)
-    return Simulator([core], controller, limits)
+    return Simulator([core], [controller], device.mapper, limits)
 
 
 class TestSimulatorLimits:

@@ -139,6 +139,28 @@ class TestTelemetryCollection:
         assert sum(epochs.row_misses) == counters.row_misses
         assert sum(epochs.row_conflicts) == counters.row_conflicts
 
+    def test_epoch_deltas_sum_to_totals_across_channels(self):
+        """The sampler sums every channel's controller, DRAM and
+        mechanism counters, so multi-channel epochs add up too."""
+        config = make_system_config("FIGCache-Fast", channels=4,
+                                    telemetry=True,
+                                    telemetry_epoch_cycles=5_000)
+        traces = [get_benchmark(name).make_trace(1500)
+                  for name in ("lbm", "mcf", "lbm", "mcf")]
+        result = run_workload(config, traces, "lbm-mcf-x2")
+        epochs = result.telemetry.epochs
+        assert len(epochs) >= 2
+        assert all(len(depths) == 4 for depths in epochs.queue_depths)
+        assert sum(epochs.instructions) == result.instructions
+        assert sum(epochs.reads) == result.memory_reads
+        assert sum(epochs.writes) == result.memory_writes
+        assert sum(epochs.cache_lookups) == result.cache_lookups
+        assert sum(epochs.cache_hits) == result.cache_hits
+        counters = result.dram_counters
+        assert sum(epochs.row_hits) == counters.row_hits
+        assert sum(epochs.row_misses) == counters.row_misses
+        assert sum(epochs.row_conflicts) == counters.row_conflicts
+
     def test_epoch_boundaries_and_final_partial_epoch(self):
         epoch = 10_000
         result = _run_single("Base", records=4000, telemetry=True,
@@ -186,14 +208,14 @@ class TestTelemetryCollection:
         trace = [get_benchmark("lbm").make_trace(4000)]
         system = System(config, trace)
         telemetry = Telemetry(config.telemetry, system.cores,
-                              system.controller, system.mechanisms)
+                              system.channel_controllers)
         cycles_seen = []
         telemetry.add_probe("boundary", lambda cycle:
                             (cycles_seen.append(cycle), cycle)[1])
         with pytest.raises(ValueError):
             telemetry.add_probe("boundary", lambda cycle: cycle)
-        Simulator(system.cores, system.controller,
-                  telemetry=telemetry).run()
+        Simulator(system.cores, system.channel_controllers,
+                  system.device.mapper, telemetry=telemetry).run()
         assert telemetry.series.extra["boundary"] \
             == telemetry.series.end_cycle
         assert cycles_seen == telemetry.series.end_cycle
@@ -318,31 +340,6 @@ class TestFromDictTolerance:
         core = CoreResult(core_id=1, instructions=5, cycles=9,
                           llc_misses=2, memory_instructions=3)
         assert CoreResult.from_dict(core.to_dict()) == core
-
-
-# ----------------------------------------------------------------------
-# Stats-producer protocol.
-# ----------------------------------------------------------------------
-class TestTelemetryCountersProtocol:
-    def test_every_producer_exposes_cumulative_integers(self):
-        from repro.sim.system import System
-
-        config = make_system_config("FIGCache-Fast")
-        trace = [get_benchmark("lbm").make_trace(800)]
-        system = System(config, trace)
-        system.run("lbm")
-        producers = ([core.stats for core in system.cores]
-                     + [mechanism.stats for mechanism in system.mechanisms]
-                     + list(system.controller.channel_controllers)
-                     + [channel_controller.channel.counters
-                        for channel_controller
-                        in system.controller.channel_controllers])
-        for producer in producers:
-            counters = producer.telemetry_counters()
-            assert counters, type(producer).__name__
-            for name, value in counters.items():
-                assert isinstance(value, int) and value >= 0, \
-                    (type(producer).__name__, name)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Tests for event-level tracing and the unified metrics export (PR 8).
+"""Tests for event-level tracing.
 
-Pins the four contracts the observability layer makes:
+Pins the three contracts the tracing layer makes:
 
 * **Zero overhead when off** — the tracer attribute defaults to ``None``
   everywhere, and running with a tracer installed never changes the
@@ -11,9 +11,6 @@ Pins the four contracts the observability layer makes:
   Perfetto / ``chrome://tracing`` loaders accept: known phase codes,
   microsecond timestamps, matched async begin/end pairs, and metadata
   naming rows after channels and banks.
-* **One metrics snapshot** — ``metrics_snapshot`` exposes cache,
-  executor, and controller counters as one JSON-ready dict, and
-  ``to_prometheus_text`` renders its numeric leaves as gauges.
 """
 
 import json
@@ -21,13 +18,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.engine import ExperimentScale, JobExecutor, ResultCache
-from repro.experiments.engine.spec import SimJob
 from repro.sim.backend import resolve_backend
 from repro.sim.config import make_system_config
-from repro.sim.metrics_export import (METRICS_SCHEMA_VERSION,
-                                      metrics_snapshot, to_prometheus_text,
-                                      write_metrics)
 from repro.sim.system import System, run_workload
 from repro.sim.tracing import (CMD, MECH, REQ, TRACE_SCHEMA_VERSION,
                                EventTracer, to_chrome_trace,
@@ -58,11 +50,25 @@ class TestZeroOverheadOff:
         traces = [get_benchmark("mcf").make_trace(64)]
         system = System(config, traces)
         assert system.tracer is None
-        for cc in system.controller.channel_controllers:
+        for cc in system.channel_controllers:
             assert cc.tracer is None
             assert cc.channel.tracer is None
         for mechanism in system.mechanisms:
             assert mechanism.tracer is None
+
+    def test_install_reaches_every_channel(self):
+        config = make_system_config("FIGCache-Fast", channels=2)
+        traces = [get_benchmark("mcf").make_trace(64)]
+        tracer = EventTracer()
+        system = System(config, traces, tracer=tracer)
+        assert system.tracer is tracer
+        assert len(system.channel_controllers) == 2
+        for cc in system.channel_controllers:
+            assert cc.tracer is tracer
+            assert cc.channel.tracer is tracer
+            assert cc.mechanism.tracer is tracer
+        assert all(mechanism.tracer is tracer
+                   for mechanism in system.mechanisms)
 
     # Parametrized by the event core's report name, so the ids say which
     # core produced the results compared.
@@ -190,59 +196,3 @@ class TestTraceCLI:
     def test_trace_command_rejects_unknown_workload(self, capsys):
         assert main(["trace", "not-a-workload"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
-
-
-class TestMetricsExport:
-    def test_snapshot_always_has_schema_and_host(self):
-        snapshot = metrics_snapshot()
-        assert snapshot["schema"] == METRICS_SCHEMA_VERSION
-        assert snapshot["host"]["cpu_count"] >= 1
-        assert "cache" not in snapshot
-
-    def test_executor_section_implies_cache_section(self, tmp_path):
-        executor = JobExecutor(cache=ResultCache(str(tmp_path)), jobs=1)
-        executor.run([SimJob.single_core("Base", "gcc",
-                                         ExperimentScale.tiny())])
-        snapshot = metrics_snapshot(executor=executor)
-        assert snapshot["executor"]["simulations_executed"] == 1
-        assert snapshot["cache"]["stores"] == 1
-        assert snapshot["cache"]["disk_entries"] == 1
-        executor.close()
-
-    def test_system_section_reports_controller_counters(self):
-        config = make_system_config("FIGCache-Fast", channels=1)
-        traces = [get_benchmark("mcf").make_trace(TRACE_RECORDS)]
-        system = System(config, traces)
-        system.run("mcf")
-        snapshot = metrics_snapshot(system=system)
-        assert snapshot["controller"]["channels"] == 1
-        assert snapshot["controller"]["completed_reads"] > 0
-        assert snapshot["dram"]["activates"] > 0
-        assert snapshot["mechanism"]
-
-    def test_prometheus_text_renders_numeric_leaves(self):
-        snapshot = metrics_snapshot()
-        text = to_prometheus_text(snapshot)
-        assert "# TYPE repro_host_cpu_count gauge" in text
-        assert "repro_schema 1" in text
-        # Strings never leak into the exposition format.
-        assert "python_version" not in text
-
-    def test_write_metrics_picks_format_from_suffix(self, tmp_path):
-        snapshot = metrics_snapshot()
-        json_path = write_metrics(tmp_path / "m.json", snapshot)
-        assert json.loads(json_path.read_text(encoding="utf-8")) == snapshot
-        prom_path = write_metrics(tmp_path / "m.prom", snapshot)
-        assert "# TYPE" in prom_path.read_text(encoding="utf-8")
-
-    def test_metrics_cli_json_and_prometheus(self, tmp_path, capsys):
-        assert main(["metrics", "--cache-dir", "none"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == METRICS_SCHEMA_VERSION
-        assert main(["metrics", "--format", "prometheus",
-                     "--cache-dir", "none"]) == 0
-        assert "# TYPE" in capsys.readouterr().out
-        out = tmp_path / "metrics.prom"
-        assert main(["metrics", "--format", "prometheus",
-                     "--cache-dir", "none", "--out", str(out)]) == 0
-        assert "# TYPE" in out.read_text(encoding="utf-8")
