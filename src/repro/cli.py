@@ -67,8 +67,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="experiment scale (default: paper)")
     parser.add_argument("--keep-going", action="store_true",
                         help="retry failed jobs, then skip them instead "
-                             "of aborting the batch (failure policy "
-                             "retry_then_skip); the run still exits "
+                             "of aborting the batch; the run still exits "
                              "nonzero if anything was skipped")
 
 
@@ -79,10 +78,8 @@ def _configure_engine(args) -> "engine.JobExecutor":
         cache_dir = args.cache_dir
     else:
         cache_dir = str(default_cache_dir())
-    policy = "retry_then_skip" if getattr(args, "keep_going", False) \
-        else None
     return engine.configure(jobs=args.jobs, cache_dir=cache_dir,
-                            failure_policy=policy)
+                            keep_going=args.keep_going)
 
 
 def _finish_batch(executor) -> int:
@@ -330,7 +327,6 @@ def _cmd_cache(args) -> int:
         print(f"disk bytes      : {stats.disk_bytes}")
         print(f"shards          : {stats.shards}")
         print(f"gzip entries    : {stats.disk_compressed}")
-        print(f"legacy entries  : {stats.disk_legacy}")
         print(f"decode failures : {stats.decode_failures}")
         print(f"quarantined     : {stats.quarantine_entries}")
         print(f"salt            : {engine.cache_salt()}")
@@ -504,14 +500,8 @@ def main(argv: list[str] | None = None) -> int:
         # --progress-file when one was given); the console gets one
         # actionable line, not a wall of worker traceback.
         report = error.report
-        if report is not None and report.failures:
-            summary = report.summary()
-            first = report.failures[0]
-            print(f"error: batch failed ({summary}); first failure: "
-                  f"{first.one_line()}", file=sys.stderr)
-        else:
-            first_line = str(error).splitlines()[0] if str(error) else ""
-            print(f"error: batch failed: {first_line}", file=sys.stderr)
+        print(f"error: batch failed ({report.summary()}); first failure: "
+              f"{report.failures[0].one_line()}", file=sys.stderr)
         print("hint: --keep-going retries and then skips poisoned jobs; "
               "--progress-file FILE captures per-job events",
               file=sys.stderr)

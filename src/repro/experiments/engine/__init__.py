@@ -15,9 +15,9 @@ incrementally re-runnable work:
 
 The figure runners all submit batches through one process-wide default
 executor, managed here.  ``configure()`` swaps it (the CLI uses this to
-apply ``--jobs`` / ``--cache-dir``); ``reset()`` restores a fresh
-environment-configured default, which the benchmark harness uses to
-isolate cached results between modules.
+apply ``--jobs`` / ``--cache-dir`` / ``--keep-going``); ``reset()``
+restores a fresh environment-configured default, which the benchmark
+harness uses to isolate cached results between modules.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from repro.experiments.engine.cache import (CACHE_DIR_ENV,
                                             COMPRESS_MIN_BYTES, CacheStats,
                                             CorruptEntryError, ResultCache,
                                             cache_salt, default_cache_dir)
-from repro.experiments.engine.executor import (FAILURE_POLICIES, JOBS_ENV,
-                                               BatchReport, JobExecutionError,
+from repro.experiments.engine.executor import (JOBS_ENV, BatchReport,
+                                               JobExecutionError,
                                                JobExecutor, JobFailure,
-                                               RetryPolicy, WatchdogPolicy,
-                                               resolve_failure_policy,
                                                resolve_jobs)
 from repro.experiments.engine.faults import (FAULT_PLAN_ENV, FaultPlan,
                                              FaultSpec, InjectedFault,
@@ -53,7 +51,6 @@ __all__ = [
     "CallbackSink",
     "CorruptEntryError",
     "ExperimentScale",
-    "FAILURE_POLICIES",
     "FAULT_PLAN_ENV",
     "FaultPlan",
     "FaultSpec",
@@ -67,18 +64,15 @@ __all__ = [
     "ProgressEvent",
     "ProgressSink",
     "ResultCache",
-    "RetryPolicy",
     "SimJob",
     "StderrLineSink",
     "TeeSink",
-    "WatchdogPolicy",
     "cache_salt",
     "configure",
     "default_cache_dir",
     "get_executor",
     "install_plan",
     "reset",
-    "resolve_failure_policy",
     "resolve_jobs",
 ]
 
@@ -101,23 +95,19 @@ def get_executor() -> JobExecutor:
 
 
 def configure(jobs: int | None = None, cache_dir: str | None = None,
-              compress: bool | str = "auto",
-              failure_policy: str | None = None,
-              retry: RetryPolicy | None = None,
-              watchdog: WatchdogPolicy | None = None) -> JobExecutor:
+              keep_going: bool = False) -> JobExecutor:
     """Replace the default executor (e.g. to apply CLI flags).
 
     The previous default's warm worker pool — if one was ever spun up —
     is shut down so reconfiguring never leaks worker processes.
-    ``failure_policy``/``retry``/``watchdog`` set the reliability layer
-    (``--keep-going`` maps to ``failure_policy="retry_then_skip"``).
+    ``keep_going`` is the CLI's ``--keep-going``: retry failed jobs, then
+    skip them instead of failing fast.
     """
     global _default_executor
     if _default_executor is not None:
         _default_executor.close()
-    _default_executor = JobExecutor(
-        cache=ResultCache(cache_dir, compress=compress), jobs=jobs,
-        failure_policy=failure_policy, retry=retry, watchdog=watchdog)
+    _default_executor = JobExecutor(cache=ResultCache(cache_dir), jobs=jobs,
+                                    keep_going=keep_going)
     return _default_executor
 
 

@@ -8,11 +8,6 @@ in-memory key index — loaded from one directory scan per process — makes
 ``get()`` misses, ``stats()``, and repeated lookups pure memory
 operations instead of per-call filesystem traffic.
 
-Entries written by the original flat layout (``<key>.json`` directly in
-the cache root) remain readable: the index scan picks them up, and
-re-storing a key migrates its entry into the sharded layout.  ``clear()``
-removes both layouts.
-
 Each file records the salt (cache schema version + package version) it was
 written with; entries whose salt no longer matches are treated as misses,
 so a code upgrade invalidates stale results instead of replaying them.
@@ -55,9 +50,9 @@ from repro.sim.metrics import SimulationResult
 #: Environment variable selecting the default persistent cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Serialized payloads at least this large are gzip-compressed under
-#: ``compress="auto"`` (telemetry-bearing results run to megabytes; plain
-#: results are under a kilobyte and stay human-readable).
+#: Serialized payloads at least this large are gzip-compressed
+#: (telemetry-bearing results run to megabytes; plain results are under
+#: a kilobyte and stay human-readable).
 COMPRESS_MIN_BYTES = 32 * 1024
 
 #: Hex characters of the key used as the shard directory name.
@@ -110,8 +105,6 @@ class CacheStats:
     disk_bytes: int = 0
     #: Disk entries stored gzip-compressed.
     disk_compressed: int = 0
-    #: Disk entries still in the pre-sharding flat layout.
-    disk_legacy: int = 0
     #: Shard directories holding at least one disk entry.
     shards: int = 0
     #: Loads that failed to decode or checksum (corrupt entries seen).
@@ -138,13 +131,8 @@ def _entry_key(name: str) -> str:
 class ResultCache:
     """Two-level (memory + optional sharded disk) cache of results."""
 
-    def __init__(self, directory: str | Path | None = None,
-                 compress: bool | str = "auto"):
+    def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory is not None else None
-        if compress not in (True, False, "auto"):
-            raise ValueError(f"compress must be True, False or 'auto', "
-                             f"got {compress!r}")
-        self.compress = compress
         self._memory: dict[str, SimulationResult] = {}
         #: key -> (absolute Path, size in bytes); ``None`` until the first
         #: persistent operation triggers the one-time directory scan.
@@ -168,38 +156,24 @@ class ResultCache:
         name = f"{key}.json.gz" if compressed else f"{key}.json"
         return self.directory / key[:_SHARD_CHARS] / name
 
-    def _legacy_path(self, key: str) -> Path:
-        """Where the pre-sharding flat layout stored ``key``."""
-        return self.directory / f"{key}.json"
-
     def _scan_index(self) -> dict[str, tuple[Path, int]]:
-        """One-time directory scan: every entry in either layout.
-
-        Sharded entries win over a legacy flat duplicate of the same key
-        (the flat file is a leftover from before a migration finished).
-        """
+        """One-time directory scan: every entry in every shard."""
         index: dict[str, tuple[Path, int]] = {}
-        legacy: dict[str, tuple[Path, int]] = {}
         try:
             root_entries = list(os.scandir(self.directory))
         except OSError:
             return index
         for entry in root_entries:
-            name = entry.name
-            if entry.is_file() and _is_entry(name):
-                legacy[_entry_key(name)] = (Path(entry.path),
-                                            entry.stat().st_size)
-            elif entry.is_dir() and len(name) == _SHARD_CHARS:
-                try:
-                    shard_entries = list(os.scandir(entry.path))
-                except OSError:
-                    continue
-                for sub in shard_entries:
-                    if sub.is_file() and _is_entry(sub.name):
-                        index[_entry_key(sub.name)] = (Path(sub.path),
-                                                       sub.stat().st_size)
-        for key, value in legacy.items():
-            index.setdefault(key, value)
+            if not entry.is_dir() or len(entry.name) != _SHARD_CHARS:
+                continue
+            try:
+                shard_entries = list(os.scandir(entry.path))
+            except OSError:
+                continue
+            for sub in shard_entries:
+                if sub.is_file() and _is_entry(sub.name):
+                    index[_entry_key(sub.name)] = (Path(sub.path),
+                                                   sub.stat().st_size)
         return index
 
     def index(self) -> dict[str, tuple[Path, int]]:
@@ -253,9 +227,7 @@ class ResultCache:
                    "sha256": hashlib.sha256(canonical).hexdigest(),
                    "result": result_dict}
         data = json.dumps(payload, sort_keys=True).encode("utf-8")
-        compressed = (self.compress is True
-                      or (self.compress == "auto"
-                          and len(data) >= COMPRESS_MIN_BYTES))
+        compressed = len(data) >= COMPRESS_MIN_BYTES
         if compressed:
             data = gzip.compress(data, compresslevel=6)
         plan = faults_mod.active_plan()
@@ -268,13 +240,7 @@ class ResultCache:
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_bytes(data)
         tmp.replace(path)
-        index = self.index()
-        old = index.get(key)
-        if old is not None and old[0] != path:
-            # Migrate: drop the legacy flat file (or a differently
-            # compressed sharded sibling) the new entry supersedes.
-            old[0].unlink(missing_ok=True)
-        index[key] = (path, len(data))
+        self.index()[key] = (path, len(data))
 
     def _read_payload(self, path: Path) -> dict:
         """Read, decode, and checksum-verify one entry file.
@@ -357,23 +323,13 @@ class ResultCache:
     # Maintenance.
     # ------------------------------------------------------------------
     def clear(self) -> int:
-        """Drop every entry (memory and disk, both layouts); returns
-        distinct entries removed (an entry present in several layers
-        counts once)."""
+        """Drop every entry (memory and disk); returns distinct entries
+        removed (an entry present in both layers counts once)."""
         keys = set(self._memory)
         self._memory.clear()
         if self.directory is not None and self.directory.is_dir():
-            # The scan — not the possibly stale index — drives removal, so
-            # entries written by other processes are cleared too.
-            self._index = None
-            for key, (path, _) in self._scan_index().items():
-                keys.add(key)
-                path.unlink(missing_ok=True)
-            # A finished migration may leave superseded legacy duplicates
-            # the index hid; sweep any stragglers and empty shard dirs.
-            for path in self.directory.glob("*.json"):
-                keys.add(_entry_key(path.name))
-                path.unlink(missing_ok=True)
+            # The directory — not the possibly stale index — drives
+            # removal, so entries written by other processes go too.
             for shard in self.directory.iterdir():
                 if shard.is_dir() and len(shard.name) == _SHARD_CHARS:
                     for path in shard.iterdir():
@@ -454,10 +410,7 @@ class ResultCache:
                 stats.disk_bytes += size
                 if path.name.endswith(".gz"):
                     stats.disk_compressed += 1
-                if path.parent == self.directory:
-                    stats.disk_legacy += 1
-                else:
-                    shards.add(path.parent)
+                shards.add(path.parent)
             stats.shards = len(shards)
             quarantine = self.directory / QUARANTINE_DIR
             if quarantine.is_dir():

@@ -33,33 +33,37 @@ Throughput machinery (what makes sustained sweeps fast):
 
 Reliability machinery (what makes million-job sweeps survive faults):
 
-* **Failure policies** — :meth:`JobExecutor.run` executes under a
-  ``failure_policy``: ``fail_fast`` (the default: first failure cancels
-  the batch and raises), ``retry_then_fail`` (failed jobs are retried
-  per the :class:`RetryPolicy`; jobs that exhaust their attempts are
-  collected and raised together at batch end), or ``retry_then_skip``
-  (exhausted jobs are skipped — absent from the returned mapping — and
-  the batch completes).  Every batch's outcome lands in a
-  :class:`BatchReport` on :attr:`JobExecutor.last_report`.
-* **Deterministic retry backoff** — :meth:`RetryPolicy.delay_s` grows
+* **One option** — ``keep_going=False`` (the default) fails fast: the
+  first failure cancels the batch's queued work and raises, and a worker
+  death re-raises ``BrokenProcessPool``.  ``keep_going=True`` (the CLI's
+  ``--keep-going``) retries each failed, lost or timed-out job up to
+  :data:`RETRY_MAX_ATTEMPTS` attempts and then *skips* it: absent from
+  the returned mapping, listed in :attr:`JobExecutor.last_report`.
+* **One retry-or-fail rule** — every failure, whether the serial loop
+  caught it, a worker shipped it back, a worker died with it, or the
+  watchdog timed it out, goes through :meth:`JobExecutor._retry_or_fail`:
+  a job with attempts left gets the next attempt, a deterministic
+  backoff, one ``retries`` count and one ``job-retried`` event; a job at
+  the limit gets exactly one :class:`JobFailure` and one ``job-failed``
+  event.
+* **Deterministic retry backoff** — :func:`retry_delay_s` grows
   exponentially with the attempt number and jitters by a factor derived
   from a SHA-256 of (job key, attempt), so reruns of the same sweep
   wait the same delays: chaos runs are reproducible.
 * **Hung-worker watchdog** — the parallel drain enforces per-chunk soft
-  deadlines derived from an EWMA of observed per-job runtimes (clamped
-  to a floor/ceiling; the clock restarts on any batch progress, so
-  queue wait behind healthy chunks never trips it).  A timed-out chunk
-  is surfaced as a ``chunk-timeout`` progress event, the stuck pool is
-  killed and respawned, and the chunk's jobs are resubmitted with a
-  bumped attempt count.
-* **Pool respawn** — a worker death (``BrokenProcessPool``) under a
-  retry policy respawns the pool and resubmits only the lost chunks
+  deadlines (:func:`watchdog_allowance_s`, from an EWMA of observed
+  per-job runtimes; the clock restarts on any batch progress, so queue
+  wait behind healthy chunks never trips it).  A timed-out chunk is
+  surfaced as a ``chunk-timeout`` progress event, the stuck pool is
+  killed and respawned, and the chunk's jobs are retried.
+* **Pool respawn** — a worker death (``BrokenProcessPool``) under
+  ``keep_going`` respawns the pool and resubmits only the lost chunks
   (each lost job isolated into its own chunk so a repeat offender only
-  takes itself down), within a bounded ``pool_respawn_budget``.  Under
-  ``fail_fast`` the exception propagates exactly as before.
-* **Fault injection** — an active :class:`~.faults.FaultPlan` (the
-  ``fault_plan=`` argument, :func:`repro.experiments.engine.faults.install_plan`,
-  or ``REPRO_FAULT_PLAN``) deterministically trips worker raises/kills/
+  takes itself down), at most :data:`POOL_RESPAWN_BUDGET` times per
+  batch; past the budget every outstanding job fails.
+* **Fault injection** — the process-wide :class:`~.faults.FaultPlan`
+  (:func:`repro.experiments.engine.faults.install_plan` or
+  ``REPRO_FAULT_PLAN``) deterministically trips worker raises/kills/
   hangs so all of the above is test-provable.
 
 The worker count resolves as: explicit ``jobs=`` argument, else the
@@ -100,79 +104,64 @@ CHUNKS_PER_WORKER = 4
 TRACE_MEMO_ENTRIES = 32
 CONFIG_MEMO_ENTRIES = 256
 
-#: Legal ``failure_policy`` values.
-FAILURE_POLICIES = ("fail_fast", "retry_then_skip", "retry_then_fail")
+#: Attempts per job under ``keep_going``, including the first.
+RETRY_MAX_ATTEMPTS = 3
+#: Backoff before attempt ``n+1``: ``BASE * FACTOR ** (n - 1)`` seconds,
+#: scaled by ``1 + JITTER * u`` and capped at ``MAX`` (see
+#: :func:`retry_delay_s`).
+RETRY_BACKOFF_BASE_S = 0.05
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_BACKOFF_MAX_S = 5.0
+RETRY_JITTER = 0.25
+
+#: A parallel chunk's soft deadline: ``FACTOR x per-job EWMA x jobs``,
+#: clamped to ``[FLOOR, CEILING]`` seconds (see
+#: :func:`watchdog_allowance_s`).  The EWMA starts at ``INITIAL_EWMA``.
+WATCHDOG_FLOOR_S = 30.0
+WATCHDOG_CEILING_S = 600.0
+WATCHDOG_FACTOR = 8.0
+WATCHDOG_EWMA_ALPHA = 0.3
+WATCHDOG_INITIAL_EWMA_S = 1.0
+
+#: Worker pools a batch may respawn after worker deaths or watchdog
+#: kills before every outstanding job fails.
+POOL_RESPAWN_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many times a failed job is retried, and how long to wait.
+def retry_delay_s(key: str, attempt: int) -> float:
+    """Seconds to wait after failed ``attempt`` (1-based) of ``key``.
 
-    The backoff before attempt ``n+1`` is
-    ``backoff_base_s * backoff_factor ** (n - 1)``, clamped to
-    ``backoff_max_s``, scaled by ``1 + jitter * u`` where ``u`` in
-    ``[0, 1)`` is derived from SHA-256 of the job key and the attempt
-    number — deterministic per (job, attempt), so reruns of a sweep
-    reproduce the same schedule while distinct jobs still decorrelate.
+    The jitter ``u`` in ``[0, 1)`` comes from SHA-256 of the job key and
+    the attempt number: deterministic per (job, attempt), so reruns of a
+    sweep reproduce the same schedule while distinct jobs decorrelate.
     """
-
-    #: Total attempts per job, including the first (1 = never retry).
-    max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 5.0
-    #: Relative jitter amplitude (0 disables jitter).
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, "
-                             f"got {self.max_attempts}")
-
-    def delay_s(self, key: str, attempt: int) -> float:
-        """Seconds to wait after failed ``attempt`` (1-based) of ``key``."""
-        base = min(self.backoff_base_s
-                   * self.backoff_factor ** max(0, attempt - 1),
-                   self.backoff_max_s)
-        if self.jitter and base > 0:
-            digest = hashlib.sha256(
-                f"{key}:{attempt}".encode("utf-8")).digest()
-            unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-            base = min(base * (1.0 + self.jitter * unit),
-                       self.backoff_max_s)
-        return base
+    delay = min(RETRY_BACKOFF_BASE_S
+                * RETRY_BACKOFF_FACTOR ** max(0, attempt - 1),
+                RETRY_BACKOFF_MAX_S)
+    if RETRY_JITTER and delay > 0:
+        digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
+        unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64
+        delay = min(delay * (1.0 + RETRY_JITTER * unit),
+                    RETRY_BACKOFF_MAX_S)
+    return delay
 
 
-@dataclass(frozen=True)
-class WatchdogPolicy:
-    """Soft deadlines for parallel chunks (the hung-worker watchdog).
+def watchdog_allowance_s(jobs: int, ewma: float | None) -> float:
+    """Soft deadline for a chunk of ``jobs`` jobs, given the per-job EWMA
+    of simulation seconds (``None`` before the first observation).
 
-    A chunk's allowance is ``factor * ewma_job_s * chunk_jobs`` clamped
-    to ``[floor_s, ceiling_s]``, where ``ewma_job_s`` is an exponentially
-    weighted average of observed per-job simulation times (seeded with
-    ``initial_ewma_s`` until the first observation).  The deadline clock
-    restarts whenever *any* chunk completes, so the watchdog measures
-    batch stall, not queue wait: it only fires when nothing has finished
-    for a whole allowance — the signature of a hung worker.
+    The deadline clock restarts whenever *any* chunk completes, so the
+    watchdog measures batch stall, not queue wait: it only fires when
+    nothing has finished for a whole allowance — a hung worker.
     """
-
-    enabled: bool = True
-    floor_s: float = 30.0
-    ceiling_s: float = 600.0
-    factor: float = 8.0
-    ewma_alpha: float = 0.3
-    initial_ewma_s: float = 1.0
-
-    def allowance_s(self, chunk_jobs: int, ewma_job_s: float | None) -> float:
-        per_job = ewma_job_s if ewma_job_s is not None \
-            else self.initial_ewma_s
-        raw = self.factor * per_job * max(1, chunk_jobs)
-        return min(self.ceiling_s, max(self.floor_s, raw))
+    per_job = ewma if ewma is not None else WATCHDOG_INITIAL_EWMA_S
+    return min(WATCHDOG_CEILING_S,
+               max(WATCHDOG_FLOOR_S, WATCHDOG_FACTOR * per_job * max(1, jobs)))
 
 
 @dataclass
 class JobFailure:
-    """One job that exhausted every attempt (or failed under fail_fast)."""
+    """One job that failed its last attempt (its first, failing fast)."""
 
     #: ``describe()`` output of the failed job (repr form).
     description: str
@@ -208,20 +197,17 @@ class BatchReport:
     cache_hits: int = 0
     #: Simulations that completed successfully.
     executed: int = 0
-    #: Retry attempts performed (failures and worker deaths that were
-    #: resubmitted; excludes watchdog resubmissions, which
-    #: ``chunk_timeouts`` counts).
+    #: Retry attempts performed (failed, lost and timed-out jobs that
+    #: were resubmitted).
     retries: int = 0
-    #: Chunks the watchdog timed out and resubmitted.
+    #: Chunks the watchdog timed out.
     chunk_timeouts: int = 0
     #: Worker pools respawned mid-batch (worker death or watchdog kill).
     pool_respawns: int = 0
     #: Jobs that exhausted every attempt.
     failures: list[JobFailure] = field(default_factory=list)
-    #: Cache keys of jobs skipped under ``retry_then_skip``.
+    #: Cache keys of jobs skipped under ``keep_going``.
     skipped_keys: list[str] = field(default_factory=list)
-    #: The failure policy the batch ran under.
-    policy: str = "fail_fast"
 
     @property
     def failed(self) -> int:
@@ -252,17 +238,14 @@ class JobExecutionError(RuntimeError):
     :class:`BatchReport` (per-job attempts, skipped keys, retry counts).
     """
 
-    def __init__(self, message: str, job=None,
-                 report: BatchReport | None = None):
+    def __init__(self, message: str, report: BatchReport):
         super().__init__(message)
-        self.job = job
         self.report = report
 
     @classmethod
-    def from_report(cls, report: BatchReport, job=None) -> "JobExecutionError":
+    def from_report(cls, report: BatchReport) -> "JobExecutionError":
         first = report.failures[0]
-        lines = [f"{report.failed} job(s) failed "
-                 f"(policy {report.policy}: {report.summary()})",
+        lines = [f"{report.failed} job(s) failed ({report.summary()})",
                  f"job failed: {first.description}",
                  f"cause: {first.error}",
                  first.traceback.rstrip()]
@@ -271,7 +254,7 @@ class JobExecutionError(RuntimeError):
             lines.extend(f"  [{ordinal}] {failure.one_line()}"
                          for ordinal, failure
                          in enumerate(report.failures[1:], start=2))
-        return cls("\n".join(lines), job=job, report=report)
+        return cls("\n".join(lines), report)
 
 
 class _Memo:
@@ -380,16 +363,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
-def resolve_failure_policy(policy: str | None) -> str:
-    """Validate a ``failure_policy`` name (``None`` -> ``fail_fast``)."""
-    if policy is None:
-        return "fail_fast"
-    if policy not in FAILURE_POLICIES:
-        raise ValueError(f"unknown failure policy {policy!r} "
-                         f"(expected one of {FAILURE_POLICIES})")
-    return policy
-
-
 def _chunked(items: list, chunks: int) -> list[list]:
     """Split ``items`` into at most ``chunks`` contiguous, even pieces."""
     chunks = max(1, min(chunks, len(items)))
@@ -414,41 +387,47 @@ def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+class _Batch:
+    """Per-batch attempt state the serial and parallel loops share."""
+
+    __slots__ = ("pending", "report", "tracker", "max_attempts",
+                 "attempts", "delays")
+
+    def __init__(self, pending: Sequence[tuple[SimJob, str]],
+                 report: BatchReport, tracker: BatchProgress | None,
+                 keep_going: bool):
+        self.pending = pending
+        self.report = report
+        self.tracker = tracker
+        self.max_attempts = RETRY_MAX_ATTEMPTS if keep_going else 1
+        #: Per pending index: the attempt that runs next (1-based) and
+        #: the backoff slept before it.
+        self.attempts = [1] * len(pending)
+        self.delays = [0.0] * len(pending)
+
+
 class JobExecutor:
     """Runs simulation-job batches through a cache and a warm worker pool."""
 
     def __init__(self, cache: ResultCache | None = None,
                  jobs: int | None = None,
                  progress: ProgressSink | None = None,
-                 failure_policy: str | None = None,
-                 retry: RetryPolicy | None = None,
-                 watchdog: WatchdogPolicy | None = None,
-                 fault_plan: FaultPlan | None = None,
-                 pool_respawn_budget: int = 3):
+                 keep_going: bool = False):
         self.cache = cache if cache is not None else ResultCache()
         self.jobs = resolve_jobs(jobs)
         #: Optional progress sink; every batch emits lifecycle events to
         #: it (see :mod:`repro.experiments.engine.progress`).  Assignable
         #: after construction — the CLI attaches sinks that way.
         self.progress = progress
-        #: Default failure policy for :meth:`run` (overridable per call).
-        self.failure_policy = resolve_failure_policy(failure_policy)
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.watchdog = watchdog if watchdog is not None \
-            else WatchdogPolicy()
-        #: Explicit fault plan; ``None`` falls back to the process-wide
-        #: plan (``REPRO_FAULT_PLAN`` / :func:`faults.install_plan`).
-        self.fault_plan = fault_plan
-        #: Pools the executor may respawn per batch after worker deaths
-        #: or watchdog kills before giving up.
-        self.pool_respawn_budget = pool_respawn_budget
+        #: Retry failed jobs, then skip them, instead of failing fast.
+        self.keep_going = keep_going
         #: Simulations actually executed (cache misses) over the lifetime.
         self.simulations_executed = 0
         #: Jobs answered straight from the cache over the lifetime.
         self.cache_hits = 0
         #: Retry attempts performed over the lifetime.
         self.retries = 0
-        #: Jobs skipped (``retry_then_skip``) over the lifetime.
+        #: Jobs skipped (``keep_going``) over the lifetime.
         self.jobs_skipped = 0
         #: Jobs that exhausted every attempt over the lifetime.
         self.jobs_failed = 0
@@ -511,9 +490,7 @@ class JobExecutor:
     # ------------------------------------------------------------------
     # Batch execution.
     # ------------------------------------------------------------------
-    def run(self, jobs: Iterable[SimJob],
-            failure_policy: str | None = None
-            ) -> dict[SimJob, SimulationResult]:
+    def run(self, jobs: Iterable[SimJob]) -> dict[SimJob, SimulationResult]:
         """Run a batch of jobs; returns one result per *distinct* job.
 
         Duplicate jobs (equal specs) are deduplicated before execution, and
@@ -523,16 +500,12 @@ class JobExecutor:
         mapping — and everything derived from it — is independent of
         worker scheduling.
 
-        ``failure_policy`` overrides the executor default for this batch;
-        under ``retry_then_skip`` jobs that exhaust their attempts are
-        simply absent from the returned mapping (their keys are listed in
+        A failed job raises :class:`JobExecutionError`; under
+        ``keep_going`` jobs that exhaust their attempts are instead
+        absent from the returned mapping (their keys are listed in
         :attr:`last_report`).
         """
-        policy = resolve_failure_policy(
-            failure_policy if failure_policy is not None
-            else self.failure_policy)
-        plan = self.fault_plan if self.fault_plan is not None \
-            else faults_mod.active_plan()
+        plan = faults_mod.active_plan()
 
         ordered: list[tuple[SimJob, str]] = []
         seen: set[SimJob] = set()
@@ -553,8 +526,7 @@ class JobExecutor:
             else:
                 pending.append((job, key))
 
-        report = BatchReport(total=len(ordered), cache_hits=batch_hits,
-                             policy=policy)
+        report = BatchReport(total=len(ordered), cache_hits=batch_hits)
         self.last_report = report
         tracker = None
         if self.progress is not None:
@@ -562,18 +534,17 @@ class JobExecutor:
                                     cache_hits=batch_hits,
                                     workers=self.jobs)
             tracker.batch_start()
+        batch = _Batch(pending, report, tracker, self.keep_going)
         try:
             if pending:
                 if self.jobs > 1 and len(pending) > 1:
-                    self._run_parallel(pending, results, tracker,
-                                       policy, report, plan)
+                    self._run_parallel(batch, results, plan)
                 else:
-                    self._run_serial(pending, results, tracker,
-                                     policy, report, plan)
+                    self._run_serial(batch, results, plan)
         finally:
             if tracker is not None:
                 tracker.batch_end()
-        self._finish_report(report, tracker)
+        self._finish_report(batch)
         # Submission order, independent of completion order.
         return {job: results[job] for job, _ in ordered if job in results}
 
@@ -585,117 +556,103 @@ class JobExecutor:
             raise JobExecutionError.from_report(self.last_report)
         return results[job]
 
-    def _finish_report(self, report: BatchReport,
-                       tracker: BatchProgress | None) -> None:
-        """Fold the finished batch into lifetime counters; raise if the
-        policy says failures are fatal."""
-        if not report.failures:
-            return
-        if report.policy == "retry_then_skip":
-            for failure in report.failures:
-                report.skipped_keys.append(failure.key)
-                self.jobs_skipped += 1
-                if tracker is not None:
-                    tracker.job_skipped(failure.error, failure.description)
-            return
-        raise JobExecutionError.from_report(report)
+    def _finish_report(self, batch: _Batch) -> None:
+        """Raise the batch's failures, or under ``keep_going`` skip them
+        (and fold them into the lifetime counters)."""
+        report = batch.report
+        if report.failures and not self.keep_going:
+            raise JobExecutionError.from_report(report)
+        for failure in report.failures:
+            report.skipped_keys.append(failure.key)
+            self.jobs_skipped += 1
+            if batch.tracker is not None:
+                batch.tracker.job_skipped(failure.error, failure.description)
 
     # ------------------------------------------------------------------
     # Shared attempt bookkeeping.
     # ------------------------------------------------------------------
-    def _record_success(self, job, key, result, sim_cpu, results) -> None:
+    def _record_success(self, batch: _Batch, index: int, result,
+                        sim_cpu: float, results: dict) -> None:
         self.simulations_executed += 1
         self.sim_cpu_s += sim_cpu
-        results[job] = result
-        alpha = self.watchdog.ewma_alpha
+        batch.report.executed += 1
+        results[batch.pending[index][0]] = result
+        alpha = WATCHDOG_EWMA_ALPHA
         self._job_ewma_s = sim_cpu if self._job_ewma_s is None \
             else alpha * sim_cpu + (1.0 - alpha) * self._job_ewma_s
 
-    def _record_failure(self, report: BatchReport, job, key, attempts: int,
-                        error: str, tb_text: str) -> None:
+    def _retry_or_fail(self, batch: _Batch, index: int, error: str,
+                       tb_text: str) -> bool:
+        """The one rule for a failed, lost or timed-out attempt of job
+        ``index``.  Returns ``True`` when the job gets another attempt
+        (after ``batch.delays[index]`` seconds), ``False`` when it failed
+        for good."""
+        attempt = batch.attempts[index]
+        if attempt >= batch.max_attempts:
+            self._fail(batch, index, error, tb_text)
+            return False
+        job, key = batch.pending[index]
+        batch.delays[index] = retry_delay_s(key, attempt)
+        batch.attempts[index] = attempt + 1
+        self.retries += 1
+        batch.report.retries += 1
+        if batch.tracker is not None:
+            batch.tracker.job_retried(error, _describe(job), attempt + 1)
+        return True
+
+    def _fail(self, batch: _Batch, index: int, error: str,
+              tb_text: str) -> None:
+        """Record job ``index`` as failed: one report entry, one event."""
+        job, key = batch.pending[index]
+        description = _describe(job)
         self.jobs_failed += 1
-        report.failures.append(JobFailure(
-            description=_describe(job), key=key, attempts=attempts,
-            error=error, traceback=tb_text))
+        batch.report.failures.append(JobFailure(
+            description=description, key=key,
+            attempts=batch.attempts[index], error=error, traceback=tb_text))
+        if batch.tracker is not None:
+            batch.tracker.job_failed(error, description)
 
     # ------------------------------------------------------------------
     # Serial execution.
     # ------------------------------------------------------------------
-    def _run_serial(self, pending: Sequence[tuple[SimJob, str]],
-                    results: dict,
-                    tracker: BatchProgress | None,
-                    policy: str, report: BatchReport,
+    def _run_serial(self, batch: _Batch, results: dict,
                     plan: FaultPlan | None) -> None:
         self.last_worker_pids = frozenset((os.getpid(),))
-        max_attempts = 1 if policy == "fail_fast" \
-            else self.retry.max_attempts
-        for index, (job, key) in _by_trace(pending):
-            attempt = 1
+        for index, (job, key) in _by_trace(batch.pending):
             while True:
                 try:
                     # The serial path runs in this very process, so an
                     # injected "exit" fault raises instead of killing us.
-                    apply_worker_fault(plan, index, attempt,
+                    apply_worker_fault(plan, index, batch.attempts[index],
                                        allow_exit=False)
                     result, sim_cpu = _run_job(job)
                 except Exception as exc:
-                    if attempt < max_attempts:
-                        delay = self.retry.delay_s(key, attempt)
-                        self.retries += 1
-                        report.retries += 1
-                        if tracker is not None:
-                            tracker.job_retried(repr(exc), _describe(job),
-                                                attempt + 1)
-                        if delay > 0:
-                            time.sleep(delay)
-                        attempt += 1
+                    if self._retry_or_fail(batch, index, repr(exc),
+                                           traceback.format_exc()):
+                        time.sleep(batch.delays[index])
                         continue
-                    if policy == "fail_fast":
-                        if tracker is not None:
-                            tracker.job_failed(repr(exc), _describe(job))
-                        raise JobExecutionError(
-                            f"job failed: {_describe(job)}\n"
-                            f"cause: {exc!r}", job=job,
-                            report=report) from exc
-                    if tracker is not None:
-                        tracker.job_failed(repr(exc), _describe(job))
-                    self._record_failure(report, job, key, attempt,
-                                         repr(exc),
-                                         traceback.format_exc())
+                    if not self.keep_going:
+                        return  # fail fast: run() raises the report
                     break
-                self._record_success(job, key, result, sim_cpu, results)
-                report.executed += 1
+                self._record_success(batch, index, result, sim_cpu, results)
                 self.cache.put(key, result)
-                if tracker is not None:
-                    tracker.job_completed()
+                if batch.tracker is not None:
+                    batch.tracker.job_completed()
                 break
 
     # ------------------------------------------------------------------
     # Parallel execution.
     # ------------------------------------------------------------------
-    def _run_parallel(self, pending: Sequence[tuple[SimJob, str]],
-                      results: dict,
-                      tracker: BatchProgress | None,
-                      policy: str, report: BatchReport,
+    def _run_parallel(self, batch: _Batch, results: dict,
                       plan: FaultPlan | None) -> None:
-        # Group same-trace jobs into the same chunk so each worker builds
-        # (or memo-hits) as few distinct traces as possible, then split
-        # into ~CHUNKS_PER_WORKER x workers chunks.  The grouping is a
-        # deterministic reorder of *execution*; returned results are
-        # reassembled by index, so output order never changes.
-        tasks = [(index, job) for index, (job, _) in _by_trace(pending)]
-        chunks = _chunked(tasks, CHUNKS_PER_WORKER * self.jobs)
-
-        max_attempts = 1 if policy == "fail_fast" \
-            else self.retry.max_attempts
-        attempts = {index: 1 for index, _ in tasks}
-        delays = {index: 0.0 for index, _ in tasks}
-        #: In-flight future -> the (index, job) items it is running.
+        pending, report, tracker = batch.pending, batch.report, batch.tracker
+        #: In-flight future -> (the (index, job) items it is running, its
+        #: watchdog allowance in seconds).
         in_flight: dict = {}
-        #: Watchdog allowance per in-flight future (seconds).
-        allowance: dict = {}
+        #: Items whose submission hit an already-broken pool; picked up
+        #: (and resubmitted to the respawned pool) by handle_broken_pool.
+        orphans: list = []
         pids: set[int] = set()
-        fail_fast_tripped = False
         last_progress = time.monotonic()
 
         spawned = self._pool is None
@@ -703,21 +660,16 @@ class JobExecutor:
         if spawned and tracker is not None:
             tracker.pool_spawned()
 
-        #: Items whose submission hit an already-broken pool; picked up
-        #: (and resubmitted to the respawned pool) by handle_broken_pool.
-        orphans: list = []
-
         def submit(items) -> None:
-            payload = [(index, job, attempts[index], delays[index])
-                       for index, job in items]
+            payload = [(index, job, batch.attempts[index],
+                        batch.delays[index]) for index, job in items]
             try:
                 future = pool.submit(_run_chunk, payload, plan)
             except BrokenProcessPool:
                 orphans.extend(items)
                 return
-            in_flight[future] = list(items)
-            allowance[future] = self.watchdog.allowance_s(
-                len(items), self._job_ewma_s)
+            in_flight[future] = (list(items), watchdog_allowance_s(
+                len(items), self._job_ewma_s))
             if tracker is not None:
                 tracker.chunk_dispatched(len(items))
 
@@ -729,84 +681,77 @@ class JobExecutor:
             submits them — never this function, because after a pool
             break the resubmission target is a *new* pool.
             """
-            nonlocal fail_fast_tripped, last_progress
+            nonlocal last_progress
             pid, done, failure = chunk_result
             pids.add(pid)
             last_progress = time.monotonic()
             stored = []
             for index, result, sim_cpu in done:
-                job, key = pending[index]
-                self._record_success(job, key, result, sim_cpu, results)
-                report.executed += 1
-                stored.append((key, result))
+                self._record_success(batch, index, result, sim_cpu, results)
+                stored.append((pending[index][1], result))
             self.cache.put_many(stored)
             if tracker is not None and done:
                 tracker.chunk_completed(len(done), pid)
             if failure is None:
                 return []
             failed_index, exc_repr, tb_text = failure
-            job, key = pending[failed_index]
-            # Items after the failed one never ran; they carry no blame.
-            position = next(i for i, (index, _) in enumerate(items)
-                            if index == failed_index)
-            unrun = items[position + 1:]
-            if policy == "fail_fast":
-                fail_fast_tripped = True
-                if tracker is not None:
-                    tracker.job_failed(exc_repr, _describe(job))
-                self._record_failure(report, job, key,
-                                     attempts[failed_index],
-                                     exc_repr, tb_text)
-                # Don't start work that can no longer matter; chunks
-                # already running finish and are drained normally.
+            resubmit: list[list] = []
+            if self._retry_or_fail(batch, failed_index, exc_repr, tb_text):
+                # The retried job gets its own chunk: its backoff sleep
+                # must not delay the innocent unrun items behind it.
+                resubmit.append([(failed_index, pending[failed_index][0])])
+            elif not self.keep_going:
+                # Fail fast: don't start work that can no longer matter;
+                # chunks already running finish and are drained normally.
                 for other in in_flight:
                     other.cancel()
                 return []
-            resubmit: list[list] = []
-            if attempts[failed_index] < max_attempts:
-                delays[failed_index] = self.retry.delay_s(
-                    key, attempts[failed_index])
-                attempts[failed_index] += 1
-                self.retries += 1
-                report.retries += 1
-                if tracker is not None:
-                    tracker.job_retried(exc_repr, _describe(job),
-                                        attempts[failed_index])
-                # The retried job gets its own chunk: its backoff sleep
-                # must not delay the innocent unrun items behind it.
-                resubmit.append([(failed_index, job)])
-            else:
-                if tracker is not None:
-                    tracker.job_failed(exc_repr, _describe(job))
-                self._record_failure(report, job, key,
-                                     attempts[failed_index],
-                                     exc_repr, tb_text)
-            if unrun:
-                resubmit.append(unrun)
+            # Items after the failed one never ran; they carry no blame.
+            position = next(i for i, (index, _) in enumerate(items)
+                            if index == failed_index)
+            if items[position + 1:]:
+                resubmit.append(items[position + 1:])
             return resubmit
 
-        def fail_lost(lost, cause: str, tb_text: str) -> None:
+        def recover(resubmit: list[list], lost: list, cause: str,
+                    tb_text: str) -> None:
+            """Carry on after the pool was discarded: respawn it, resubmit
+            ``resubmit``, and retry each ``lost`` job in its own chunk (a
+            repeat offender then only takes itself down) — or, past the
+            respawn budget, fail all of them."""
+            nonlocal pool
+            if report.pool_respawns >= POOL_RESPAWN_BUDGET:
+                error = "worker pool respawn budget exhausted"
+                for index, _ in lost + [item for chunk in resubmit
+                                        for item in chunk]:
+                    self._fail(batch, index, error,
+                               f"{error} after: {tb_text}")
+                return
+            self.pool_respawns += 1
+            report.pool_respawns += 1
+            pool = self._ensure_pool()
+            if tracker is not None:
+                tracker.pool_respawned()
+            for chunk_items in resubmit:
+                submit(chunk_items)
             for index, job in lost:
-                self._record_failure(report, job, pending[index][1],
-                                     attempts[index], cause, tb_text)
-                if tracker is not None:
-                    tracker.job_failed(cause, _describe(job))
+                if self._retry_or_fail(batch, index, cause, tb_text):
+                    submit([(index, job)])
 
         def handle_broken_pool(exc: BaseException) -> None:
-            """Drain what survived, then respawn (or re-raise) per policy.
+            """Drain what survived a worker death, then recover — or,
+            failing fast, re-raise.
 
             When a worker dies the pool marks *every* outstanding future
             broken, so in-flight chunks split cleanly into those that
             returned a result before the death and those whose work is
-            lost.  Lost jobs are resubmitted one per chunk, so a repeat
-            offender only takes itself down next time.
+            lost.
             """
             lost: list = list(orphans)
             orphans.clear()
             resubmit: list[list] = []
-            for future, items in list(in_flight.items()):
+            for future, (items, _) in list(in_flight.items()):
                 del in_flight[future]
-                allowance.pop(future, None)
                 if future.cancelled():
                     continue
                 try:
@@ -818,92 +763,56 @@ class JobExecutor:
             self._discard_pool()
             if tracker is not None:
                 tracker.pool_broken()
-            if policy == "fail_fast":
+            if not self.keep_going:
                 # Everything drained so far is already in the cache —
                 # that is the resumability guarantee — but the pool is
                 # unusable; the next run() starts a fresh one.
-                self.last_worker_pids = frozenset(pids)
                 raise exc
-            if report.pool_respawns >= self.pool_respawn_budget:
-                cause = "worker pool respawn budget exhausted"
-                fail_lost(lost + [item for chunk in resubmit
-                                  for item in chunk],
-                          cause, cause + "; no worker-side traceback "
-                          "is available\n")
-                return
-            self.pool_respawns += 1
-            report.pool_respawns += 1
-            nonlocal pool
-            pool = self._ensure_pool()
-            if tracker is not None:
-                tracker.pool_respawned()
-            for chunk_items in resubmit:
-                submit(chunk_items)
-            cause = "worker process died (pool respawned)"
-            for index, job in lost:
-                key = pending[index][1]
-                if attempts[index] < max_attempts:
-                    delays[index] = self.retry.delay_s(key,
-                                                       attempts[index])
-                    attempts[index] += 1
-                    self.retries += 1
-                    report.retries += 1
-                    if tracker is not None:
-                        tracker.job_retried(cause, _describe(job),
-                                            attempts[index])
-                    submit([(index, job)])
-                else:
-                    fail_lost([(index, job)], cause,
-                              cause + "; no worker-side traceback is "
-                              "available for a dead worker\n")
+            cause = "worker process died"
+            recover(resubmit, lost, cause, f"{cause}; no worker-side "
+                    "traceback is available for a dead worker\n")
 
         def handle_watchdog() -> None:
-            """Kill the stalled pool; resubmit every in-flight chunk —
-            timed-out ones with a bumped attempt."""
+            """Kill the stalled pool, count each overdue chunk as a
+            timeout, and recover: overdue jobs are retried, every other
+            in-flight chunk is resubmitted unchanged."""
             now = time.monotonic()
-            overdue, healthy = [], []
+            overdue: list = []
             resubmit: list[list] = []
-            for future, items in list(in_flight.items()):
-                fut_allowance = allowance.pop(
-                    future, self.watchdog.ceiling_s)
+            for future, (items, allowed) in list(in_flight.items()):
                 del in_flight[future]
-                if future.done() and not future.cancelled():
+                if future.cancelled():
+                    continue
+                if future.done():
                     # Completed in the window between wait() and here.
                     try:
-                        resubmit.extend(
-                            drain(items, future.result(timeout=0)))
-                        continue
+                        chunk_result = future.result(timeout=0)
                     except Exception:
                         pass  # fall through: treat as lost work
-                stalled = now - last_progress >= fut_allowance
-                (overdue if stalled else healthy).append(items)
+                    else:
+                        resubmit.extend(drain(items, chunk_result))
+                        continue
+                if now - last_progress >= allowed:
+                    overdue.append(items)
+                else:
+                    resubmit.append(items)
             self._discard_pool(kill=True)
             for items in overdue:
                 self.chunk_timeouts += 1
                 report.chunk_timeouts += 1
                 if tracker is not None:
                     tracker.chunk_timeout(len(items))
-            self.pool_respawns += 1
-            report.pool_respawns += 1
-            nonlocal pool
-            pool = self._ensure_pool()
-            if tracker is not None:
-                tracker.pool_respawned()
-            for items in healthy:
-                submit(items)
-            for chunk_items in resubmit:
-                submit(chunk_items)
             cause = "chunk exceeded the watchdog deadline"
-            for items in overdue:
-                for index, job in items:
-                    if attempts[index] < max_attempts:
-                        attempts[index] += 1
-                        submit([(index, job)])
-                    else:
-                        fail_lost([(index, job)], cause,
-                                  cause + "; the worker was killed\n")
+            recover(resubmit, [item for items in overdue for item in items],
+                    cause, f"{cause}; the worker was killed\n")
 
-        for chunk in chunks:
+        # Group same-trace jobs into the same chunk so each worker builds
+        # (or memo-hits) as few distinct traces as possible, then split
+        # into ~CHUNKS_PER_WORKER x workers chunks.  The grouping is a
+        # deterministic reorder of *execution*; returned results are
+        # reassembled by index, so output order never changes.
+        tasks = [(index, job) for index, (job, _) in _by_trace(pending)]
+        for chunk in _chunked(tasks, CHUNKS_PER_WORKER * self.jobs):
             submit(chunk)
         try:
             while in_flight or orphans:
@@ -913,76 +822,31 @@ class JobExecutor:
                     handle_broken_pool(
                         BrokenProcessPool("pool broke during resubmission"))
                     continue
-                timeout = None
-                if self.watchdog.enabled:
-                    now = time.monotonic()
-                    next_deadline = min(
-                        last_progress
-                        + allowance.get(future, self.watchdog.ceiling_s)
-                        for future in in_flight)
-                    timeout = max(0.05, next_deadline - now)
-                done, _ = wait(set(in_flight), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
+                stall_s = min(allowed for _, allowed in in_flight.values())
+                done, _ = wait(set(in_flight), timeout=max(
+                    0.05, last_progress + stall_s - time.monotonic()),
+                    return_when=FIRST_COMPLETED)
                 broken: BaseException | None = None
                 for future in done:
-                    items = in_flight.pop(future)
-                    allowance.pop(future, None)
+                    entry = in_flight.pop(future)
                     if future.cancelled():
                         continue
                     try:
-                        for chunk_items in drain(items, future.result()):
+                        for chunk_items in drain(entry[0], future.result()):
                             submit(chunk_items)
                     except BrokenProcessPool as exc:
                         # A worker died (OOM-kill, crash, os._exit); the
                         # sibling futures are doomed too — handle them
                         # all at once.
-                        in_flight[future] = items  # hand back for triage
+                        in_flight[future] = entry  # hand back for triage
                         broken = exc
                         break
                 if broken is not None:
                     handle_broken_pool(broken)
-                    continue
-                if not done and self.watchdog.enabled:
-                    now = time.monotonic()
-                    if any(now - last_progress
-                           >= allowance.get(future,
-                                            self.watchdog.ceiling_s)
-                           for future in in_flight):
-                        if report.pool_respawns >= self.pool_respawn_budget:
-                            for future, items in list(in_flight.items()):
-                                del in_flight[future]
-                                allowance.pop(future, None)
-                                future.cancel()
-                                for index, job in items:
-                                    self._record_failure(
-                                        report, job, pending[index][1],
-                                        attempts[index],
-                                        "worker pool respawn budget "
-                                        "exhausted (watchdog)",
-                                        "worker pool respawn budget "
-                                        "exhausted after repeated "
-                                        "watchdog kills\n")
-                            self._discard_pool(kill=True)
-                        else:
-                            handle_watchdog()
+                elif not done and time.monotonic() - last_progress >= stall_s:
+                    handle_watchdog()
         finally:
             self.last_worker_pids = frozenset(pids)
-
-        if fail_fast_tripped and report.failures:
-            # Raised here (not in _finish_report) to preserve the classic
-            # single-failure message shape plus the full failure list.
-            raise JobExecutionError.from_report(
-                report, job=_job_of_first_failure(report, pending))
-
-
-def _job_of_first_failure(report: BatchReport, pending) -> object | None:
-    """The job object behind the report's first failure (for
-    ``JobExecutionError.job``)."""
-    first_key = report.failures[0].key
-    for job, key in pending:
-        if key == first_key:
-            return job
-    return None
 
 
 def _describe(job) -> str:

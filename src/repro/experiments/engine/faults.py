@@ -1,7 +1,7 @@
 """Deterministic fault injection for the experiment engine.
 
-The reliability layer (retry policies, the hung-worker watchdog, pool
-respawn, cache quarantine) only earns its keep if every behaviour is
+The reliability layer (retries, the hung-worker watchdog, pool respawn,
+cache quarantine) only earns its keep if every behaviour is
 test-provable.  This module provides the probe: a declarative
 :class:`FaultPlan` that injects failures at *chosen job indices and
 attempt numbers*, so a chaos run is exactly reproducible — the same plan
@@ -30,9 +30,9 @@ prefix):
 * ``bitflip`` — flip one byte in the middle of the payload (silent media
   corruption the checksum envelope must catch).
 
-Activation: pass a plan to :class:`JobExecutor(fault_plan=...)`, call
-:func:`install_plan` (test API), or set ``REPRO_FAULT_PLAN`` to inline
-JSON (anything starting with ``{``) or a path to a JSON file:
+Activation: one process-wide plan, installed with :func:`install_plan`
+(test API) or read from ``REPRO_FAULT_PLAN`` — inline JSON (anything
+starting with ``{``) or a path to a JSON file:
 
 .. code-block:: json
 

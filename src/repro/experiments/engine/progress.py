@@ -31,14 +31,15 @@ Event kinds (the ``kind`` field of every :class:`ProgressEvent`):
     *before* the executor raises :class:`JobExecutionError`, so sinks
     always see the failure.
 ``job-retried``
-    A job failed and is being retried under a retry failure policy;
-    ``attempt`` is the upcoming attempt number (2 for the first retry).
+    A job failed, was lost with a dead worker, or timed out, and is
+    being retried under ``keep_going``; ``attempt`` is the upcoming
+    attempt number (2 for the first retry).
 ``job-skipped``
-    A job exhausted its attempts under ``retry_then_skip`` and is being
+    A job exhausted its attempts under ``keep_going`` and is being
     dropped from the batch's results.
 ``chunk-timeout``
-    The hung-worker watchdog timed a chunk out; its jobs are being
-    resubmitted to a fresh pool (``chunk_size`` jobs affected).
+    The hung-worker watchdog timed a chunk out (``chunk_size`` jobs
+    affected); each of its jobs is then retried or fails.
 ``pool-spawned`` / ``pool-broken`` / ``pool-respawned``
     Worker-pool lifecycle: a fresh pool came up (``workers`` count), the
     pool died underneath a batch (a worker was killed), or a replacement

@@ -125,7 +125,7 @@ class TestOutputSmoke:
         out = capsys.readouterr().out
         assert "disk entries    : 1" in out
         assert "shards          : 1" in out
-        assert "legacy entries  : 0" in out
+        assert "legacy entries" not in out  # the flat layout is gone
 
     def test_cache_clear_empty_directory(self, tmp_path, capsys):
         assert cli.main(["cache", "clear",

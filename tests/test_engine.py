@@ -239,58 +239,15 @@ class TestResultCache:
         assert path.is_file()
         # Nothing lands flat in the cache root any more.
         assert not list(tmp_path.glob("*.json"))
+        assert cache.stats().shards == 1
 
-    def test_legacy_flat_entries_remain_readable(self, tmp_path):
+    def test_compressed_entries_round_trip(self, tmp_path, monkeypatch):
+        from repro.experiments.engine import cache as cache_module
+        monkeypatch.setattr(cache_module, "COMPRESS_MIN_BYTES", 0)
         job = SimJob.single_core("Base", "gcc", TINY)
         key = job.key()
         result = job.run()
         cache = ResultCache(tmp_path)
-        cache.put(key, result)
-        # Rewrite the entry in the pre-sharding flat layout.
-        sharded = cache._path(key)
-        flat = tmp_path / f"{key}.json"
-        flat.write_bytes(sharded.read_bytes())
-        sharded.unlink()
-        sharded.parent.rmdir()
-        assert ResultCache(tmp_path).get(key) == result
-
-    def test_put_migrates_legacy_entry_into_shard(self, tmp_path):
-        job = SimJob.single_core("Base", "gcc", TINY)
-        key = job.key()
-        result = job.run()
-        cache = ResultCache(tmp_path)
-        cache.put(key, result)
-        flat = tmp_path / f"{key}.json"
-        flat.write_bytes(cache._path(key).read_bytes())
-        cache._path(key).unlink()
-
-        fresh = ResultCache(tmp_path)
-        assert fresh.stats().disk_legacy == 1
-        assert fresh.stats().shards == 0
-        fresh.put(key, result)
-        assert not flat.exists()
-        assert fresh._path(key).is_file()
-        assert fresh.stats().disk_legacy == 0
-        assert fresh.stats().shards == 1
-        assert ResultCache(tmp_path).get(key) == result
-
-    def test_clear_removes_legacy_flat_entries(self, tmp_path):
-        job = SimJob.single_core("Base", "gcc", TINY)
-        key = job.key()
-        cache = ResultCache(tmp_path)
-        cache.put(key, job.run())
-        flat = tmp_path / f"{key}.json"
-        flat.write_bytes(cache._path(key).read_bytes())
-        removed = ResultCache(tmp_path).clear()
-        assert removed == 1  # one distinct key, present in both layouts
-        assert not flat.exists()
-        assert ResultCache(tmp_path).get(key) is None
-
-    def test_compressed_entries_round_trip(self, tmp_path):
-        job = SimJob.single_core("Base", "gcc", TINY)
-        key = job.key()
-        result = job.run()
-        cache = ResultCache(tmp_path, compress=True)
         cache.put(key, result)
         path = tmp_path / key[:2] / f"{key}.json.gz"
         assert path.is_file()
@@ -306,7 +263,7 @@ class TestResultCache:
         job = SimJob.single_core("Base", "gcc", TINY)
         key = job.key()
         result = job.run()
-        cache = ResultCache(tmp_path)  # compress="auto"
+        cache = ResultCache(tmp_path)
         cache.put(key, result)
         assert (tmp_path / key[:2] / f"{key}.json.gz").is_file()
         assert ResultCache(tmp_path).get(key) == result
@@ -337,11 +294,6 @@ class TestResultCache:
         assert reader.stats().disk_entries == 1
         reader.refresh_index()
         assert reader.stats().disk_entries == 2
-
-    def test_rejects_bad_compress_value(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, compress="sometimes")
-
 
 class TestJobExecutor:
     def test_deduplicates_equal_jobs(self):
@@ -390,6 +342,13 @@ class TestJobExecutor:
     def test_jobs_env_variable_sets_worker_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert JobExecutor().jobs == 3
+
+    def test_configure_keep_going_lasts_until_reset(self):
+        assert engine.get_executor().keep_going is False
+        assert engine.configure(jobs=1, keep_going=True).keep_going is True
+        assert engine.get_executor().keep_going is True
+        engine.reset()
+        assert engine.get_executor().keep_going is False
 
 
 def _tiny_jobs(*benchmarks):
@@ -462,7 +421,7 @@ class TestWorkerFailures:
         with pytest.raises(JobExecutionError) as excinfo:
             executor.run([PoisonJob()])
         assert "'kind': 'poison'" in str(excinfo.value)
-        assert excinfo.value.job == PoisonJob()
+        assert excinfo.value.report.failures[0].key == PoisonJob().key()
 
     def test_parallel_failure_names_the_job_and_keeps_finished_work(
             self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the engine's reliability layer, driven by deterministic
-fault injection: retry policies, the hung-worker watchdog, pool respawn
-after worker death, cache checksum/quarantine, and the CLI surfaces.
+fault injection: ``keep_going`` retries, the hung-worker watchdog, pool
+respawn after worker death, cache checksum/quarantine, and the CLI
+surfaces.
 
 The central claim — asserted over and over below — is that a fault-laden
 run *converges to results bit-identical to a fault-free run*: retries,
@@ -18,17 +19,16 @@ from repro.experiments import engine
 from repro.experiments.engine import (BatchReport, CallbackSink, FaultPlan,
                                       FaultSpec, InjectedFault,
                                       JobExecutionError, JobExecutor,
-                                      ResultCache, RetryPolicy, SimJob,
-                                      WatchdogPolicy, cache_salt,
+                                      ResultCache, SimJob, cache_salt,
                                       install_plan)
+from repro.experiments.engine import executor as executor_mod
 from repro.experiments.engine import faults
+from repro.experiments.engine.executor import (RETRY_MAX_ATTEMPTS,
+                                               retry_delay_s,
+                                               watchdog_allowance_s)
 from repro.experiments.engine.spec import ExperimentScale
 
 TINY = ExperimentScale.tiny()
-
-#: A retry policy with no backoff sleeps: tests should spend their time
-#: simulating, not waiting out deliberately-injected delays.
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.0, jitter=0.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,8 +63,11 @@ class PoisonJob:
 
 @pytest.fixture(autouse=True)
 def clean_fault_state(monkeypatch):
-    """No fault plan leaks in from the environment or a previous test."""
+    """No fault plan leaks in from the environment or a previous test,
+    and retries never sleep: tests should spend their time simulating,
+    not waiting out deliberately-injected delays."""
     monkeypatch.delenv(faults.FAULT_PLAN_ENV, raising=False)
+    monkeypatch.setattr(executor_mod, "RETRY_BACKOFF_BASE_S", 0.0)
     faults.reset()
     engine.reset()
     yield
@@ -77,7 +80,9 @@ def tiny_jobs(*benchmarks):
 
 
 def run_clean(jobs):
-    """Reference results from a fault-free serial run (fresh cache)."""
+    """Reference results from a fault-free serial run (fresh cache); any
+    installed fault plan is cleared first."""
+    install_plan(None)
     with JobExecutor(cache=ResultCache(), jobs=1) as executor:
         return {job.key(): result.to_dict()
                 for job, result in executor.run(jobs).items()}
@@ -146,22 +151,34 @@ class TestFaultPlan:
             faults.apply_worker_fault(plan, 0, 1, allow_exit=False)
 
 
-class TestRetryPolicy:
-    def test_delay_is_deterministic_per_key_and_attempt(self):
-        policy = RetryPolicy()
+class TestRetryDelay:
+    def test_delay_is_deterministic_per_key_and_attempt(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "RETRY_BACKOFF_BASE_S", 0.05)
         key = "a" * 64
-        assert policy.delay_s(key, 1) == policy.delay_s(key, 1)
-        assert policy.delay_s(key, 2) > policy.delay_s(key, 1)
-        assert policy.delay_s(key, 1) != policy.delay_s("b" * 64, 1)
+        assert retry_delay_s(key, 1) == retry_delay_s(key, 1)
+        assert retry_delay_s(key, 2) > retry_delay_s(key, 1)
+        assert retry_delay_s(key, 1) != retry_delay_s("b" * 64, 1)
 
-    def test_delay_is_bounded(self):
-        policy = RetryPolicy(backoff_base_s=1.0, backoff_factor=10.0,
-                             backoff_max_s=2.0)
-        assert policy.delay_s("k", 30) <= 2.0
+    def test_delay_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "RETRY_BACKOFF_BASE_S", 1.0)
+        monkeypatch.setattr(executor_mod, "RETRY_BACKOFF_FACTOR", 10.0)
+        monkeypatch.setattr(executor_mod, "RETRY_BACKOFF_MAX_S", 2.0)
+        assert retry_delay_s("k", 30) <= 2.0
 
-    def test_at_least_one_attempt_required(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
+    def test_serial_retries_sleep_the_deterministic_delay(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "RETRY_BACKOFF_BASE_S", 0.05)
+        sleeps = []
+        monkeypatch.setattr(executor_mod.time, "sleep", sleeps.append)
+        job, = tiny_jobs("gcc")
+        install_plan(FaultPlan(faults=(
+            FaultSpec(site="worker", index=0, action="raise",
+                      attempts=()),)))
+        with JobExecutor(cache=ResultCache(), jobs=1,
+                         keep_going=True) as executor:
+            executor.run([job])
+        # One backoff before each retry, none after the final attempt.
+        assert sleeps == [retry_delay_s(job.key(), attempt)
+                          for attempt in range(1, RETRY_MAX_ATTEMPTS)]
 
 
 # ----------------------------------------------------------------------
@@ -170,13 +187,12 @@ class TestRetryPolicy:
 class TestRetryThenSucceed:
     def test_serial_transient_fault_is_bit_identical_to_clean(self):
         jobs = tiny_jobs("gcc", "lbm")
-        plan = FaultPlan(faults=(
+        install_plan(FaultPlan(faults=(
             FaultSpec(site="worker", index=0, action="raise",
-                      attempts=(1,)),))
+                      attempts=(1,)),)))
         events = []
         with JobExecutor(cache=ResultCache(), jobs=1,
-                         failure_policy="retry_then_fail",
-                         retry=FAST_RETRY, fault_plan=plan) as executor:
+                         keep_going=True) as executor:
             executor.progress = CallbackSink(events.append)
             results = executor.run(jobs)
             assert executor.retries == 1
@@ -187,12 +203,11 @@ class TestRetryThenSucceed:
 
     def test_parallel_transient_fault_is_bit_identical_to_clean(self):
         jobs = tiny_jobs("gcc", "lbm", "mcf")
-        plan = FaultPlan(faults=(
+        install_plan(FaultPlan(faults=(
             FaultSpec(site="worker", index=1, action="raise",
-                      attempts=(1,)),))
+                      attempts=(1,)),)))
         with JobExecutor(cache=ResultCache(), jobs=2,
-                         failure_policy="retry_then_fail",
-                         retry=FAST_RETRY, fault_plan=plan) as executor:
+                         keep_going=True) as executor:
             results = executor.run(jobs)
             assert executor.retries == 1
             report = executor.last_report
@@ -201,18 +216,16 @@ class TestRetryThenSucceed:
         assert report.retries == 1 and not report.failures
 
     def test_permanent_fault_exhausts_attempts_and_raises(self):
-        jobs = tiny_jobs("gcc")
-        plan = FaultPlan(faults=(
+        job, = tiny_jobs("gcc")
+        install_plan(FaultPlan(faults=(
             FaultSpec(site="worker", index=0, action="raise",
-                      attempts=()),))  # fires on every attempt
+                      attempts=()),)))  # fires on every attempt
         with JobExecutor(cache=ResultCache(), jobs=1,
-                         failure_policy="retry_then_fail",
-                         retry=FAST_RETRY, fault_plan=plan) as executor:
+                         keep_going=True) as executor:
             with pytest.raises(JobExecutionError) as info:
-                executor.run(jobs)
-            assert executor.retries == FAST_RETRY.max_attempts - 1
-        assert info.value.report.failures[0].attempts \
-            == FAST_RETRY.max_attempts
+                executor.run_one(job)
+            assert executor.retries == RETRY_MAX_ATTEMPTS - 1
+        assert info.value.report.failures[0].attempts == RETRY_MAX_ATTEMPTS
 
 
 # ----------------------------------------------------------------------
@@ -223,16 +236,15 @@ class TestMultipleFailuresReported:
         poisons = [PoisonJob(name="first"), PoisonJob(name="second")]
         jobs = tiny_jobs("gcc", "lbm") + poisons
         with JobExecutor(cache=ResultCache(), jobs=2,
-                         failure_policy="retry_then_fail",
-                         retry=RetryPolicy(max_attempts=1)) as executor:
-            with pytest.raises(JobExecutionError) as info:
-                executor.run(jobs)
-        report = info.value.report
-        assert report is not None and report.failed == 2
+                         keep_going=True) as executor:
+            executor.run(jobs)
+        report = executor.last_report
+        assert report.failed == 2
         failed_names = {failure.description for failure in report.failures}
         assert any("first" in name for name in failed_names)
         assert any("second" in name for name in failed_names)
-        message = str(info.value)
+        # The error figures and run_one raise for skipped jobs.
+        message = str(JobExecutionError.from_report(report))
         assert "2 job(s) failed" in message
         assert "first" in message and "second" in message
         # First failure carries the full traceback, the rest one line
@@ -247,14 +259,29 @@ class TestMultipleFailuresReported:
     def test_report_attempts_and_keys_are_recorded(self):
         jobs = [PoisonJob(name="solo")] + tiny_jobs("gcc")
         with JobExecutor(cache=ResultCache(), jobs=1,
-                         failure_policy="retry_then_fail",
-                         retry=FAST_RETRY) as executor:
+                         keep_going=True) as executor:
+            executor.run(jobs)
+        failure, = executor.last_report.failures
+        assert failure.key == "poison:solo"
+        assert failure.attempts == RETRY_MAX_ATTEMPTS
+        assert "poisoned" in failure.error
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_fail_fast_reports_the_failure(self, workers):
+        """Serial and parallel fail-fast record the poisoned job alike:
+        one failure, counted, with its traceback, raised from the
+        report."""
+        jobs = tiny_jobs("gcc", "lbm") + [PoisonJob()]
+        with JobExecutor(cache=ResultCache(), jobs=workers) as executor:
             with pytest.raises(JobExecutionError) as info:
                 executor.run(jobs)
-        failure = info.value.report.failures[0]
-        assert failure.key == "poison:solo"
-        assert failure.attempts == FAST_RETRY.max_attempts
-        assert "poisoned" in failure.error
+            assert executor.jobs_failed == 1
+        report = info.value.report
+        assert len(report.failures) == 1
+        assert report.failures[0].key == PoisonJob().key()
+        message = str(info.value)
+        assert "Traceback" in message and "this job is poisoned" in message
+        assert message == str(JobExecutionError.from_report(report))
 
 
 class TestRetryThenSkip:
@@ -263,8 +290,7 @@ class TestRetryThenSkip:
         jobs = tiny_jobs("gcc", "lbm") + [poison]
         events = []
         with JobExecutor(cache=ResultCache(), jobs=1,
-                         failure_policy="retry_then_skip",
-                         retry=FAST_RETRY) as executor:
+                         keep_going=True) as executor:
             executor.progress = CallbackSink(events.append)
             results = executor.run(jobs)
             assert executor.jobs_skipped == 1
@@ -275,56 +301,120 @@ class TestRetryThenSkip:
         assert [e.kind for e in events if e.kind == "job-skipped"] \
             == ["job-skipped"]
 
-    def test_policy_override_per_run_call(self):
-        poison = PoisonJob()
-        with JobExecutor(cache=ResultCache(), jobs=1,
-                         retry=FAST_RETRY) as executor:
-            # Default fail_fast raises...
-            with pytest.raises(JobExecutionError):
-                executor.run([poison])
-            # ...but a per-call override skips.
-            results = executor.run(tiny_jobs("gcc") + [poison],
-                                   failure_policy="retry_then_skip")
-            assert len(results) == 1
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            JobExecutor(cache=ResultCache(), failure_policy="best_effort")
+class TestFailFast:
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_fail_fast_makes_a_single_attempt(self, workers):
+        """Without keep_going even a transient fault fails the batch on
+        its first attempt: no backoff, no retry, one job-failed event."""
+        jobs = tiny_jobs("gcc", "lbm")
+        install_plan(FaultPlan(faults=(
+            FaultSpec(site="worker", index=0, action="raise",
+                      attempts=(1,)),)))
+        events = []
+        with JobExecutor(cache=ResultCache(), jobs=workers) as executor:
+            executor.progress = CallbackSink(events.append)
+            with pytest.raises(JobExecutionError) as info:
+                executor.run(jobs)
+            assert executor.retries == 0
+        failure, = info.value.report.failures
+        assert failure.key == jobs[0].key() and failure.attempts == 1
+        assert "InjectedFault" in failure.error
+        kinds = [e.kind for e in events]
+        assert "job-retried" not in kinds
+        assert kinds.count("job-failed") == 1
 
 
 # ----------------------------------------------------------------------
 # Hung-worker watchdog.
 # ----------------------------------------------------------------------
+def shrink_watchdog(monkeypatch):
+    """Deadlines of 2 s for a fresh one-job chunk, instead of 30 s."""
+    monkeypatch.setattr(executor_mod, "WATCHDOG_FLOOR_S", 0.5)
+    monkeypatch.setattr(executor_mod, "WATCHDOG_CEILING_S", 2.0)
+    monkeypatch.setattr(executor_mod, "WATCHDOG_FACTOR", 4.0)
+
+
 class TestWatchdog:
-    def test_watchdog_times_out_sleeping_worker_and_recovers(self):
+    def test_watchdog_times_out_sleeping_worker_and_recovers(
+            self, monkeypatch):
         jobs = tiny_jobs("gcc", "lbm", "mcf", "bzip2")
         # Index 3 sleeps far past the (shrunk) watchdog deadline on its
-        # first attempt; the resubmitted attempt runs clean.
-        plan = FaultPlan(faults=(
+        # first attempt; the retried attempt runs clean.
+        install_plan(FaultPlan(faults=(
             FaultSpec(site="worker", index=3, action="sleep",
-                      attempts=(1,), seconds=30.0),))
-        watchdog = WatchdogPolicy(floor_s=0.5, ceiling_s=2.0, factor=4.0)
+                      attempts=(1,), seconds=30.0),)))
+        shrink_watchdog(monkeypatch)
         events = []
         with JobExecutor(cache=ResultCache(), jobs=2,
-                         failure_policy="retry_then_fail",
-                         retry=FAST_RETRY, watchdog=watchdog,
-                         fault_plan=plan) as executor:
+                         keep_going=True) as executor:
             executor.progress = CallbackSink(events.append)
             results = executor.run(jobs)
             assert executor.chunk_timeouts >= 1
             assert executor.pool_respawns >= 1
+            assert executor.retries >= 1
             report = executor.last_report
         assert as_dicts(results) == run_clean(jobs)
         assert report.chunk_timeouts >= 1 and not report.failures
         kinds = [e.kind for e in events]
         assert "chunk-timeout" in kinds and "pool-respawned" in kinds
+        assert "job-retried" in kinds
 
-    def test_watchdog_allowance_clamps(self):
-        policy = WatchdogPolicy(floor_s=10.0, ceiling_s=60.0, factor=8.0)
-        assert policy.allowance_s(1, 0.001) == 10.0          # floor
-        assert policy.allowance_s(1000, 5.0) == 60.0         # ceiling
-        assert policy.allowance_s(2, None) \
-            == max(10.0, 8.0 * policy.initial_ewma_s * 2)    # seed ewma
+    def test_timed_out_job_is_retried_like_a_failed_one(self, monkeypatch):
+        jobs = tiny_jobs("gcc", "lbm")
+        install_plan(FaultPlan(faults=(
+            FaultSpec(site="worker", index=0, action="sleep",
+                      attempts=(1,), seconds=30.0),)))
+        shrink_watchdog(monkeypatch)
+        events = []
+        with JobExecutor(cache=ResultCache(), jobs=2,
+                         keep_going=True) as executor:
+            executor.progress = CallbackSink(events.append)
+            results = executor.run(jobs)
+            report = executor.last_report
+        # Every resubmission of a timed-out job is one counted retry with
+        # one job-retried event, as for a job that raised.
+        retried = [e for e in events if e.kind == "job-retried"]
+        assert report.retries == len(retried) >= 1
+        hung = [e for e in retried if e.job == repr(jobs[0].describe())]
+        assert len(hung) == 1 and hung[0].attempt == 2
+        assert "watchdog deadline" in hung[0].error
+        assert not report.failures
+        assert as_dicts(results) == run_clean(jobs)
+
+    def test_exhausted_respawn_budget_reports_the_timeout(
+            self, monkeypatch):
+        jobs = tiny_jobs("gcc", "lbm")
+        # Index 0 hangs on every attempt; with no respawn budget left the
+        # first timeout fails it for good instead of retrying.
+        install_plan(FaultPlan(faults=(
+            FaultSpec(site="worker", index=0, action="sleep",
+                      attempts=(), seconds=30.0),)))
+        shrink_watchdog(monkeypatch)
+        monkeypatch.setattr(executor_mod, "POOL_RESPAWN_BUDGET", 0)
+        events = []
+        with JobExecutor(cache=ResultCache(), jobs=2,
+                         keep_going=True) as executor:
+            executor.progress = CallbackSink(events.append)
+            results = executor.run(jobs)
+            assert executor.chunk_timeouts == 1
+            assert executor.pool_respawns == 0
+            report = executor.last_report
+        kinds = [e.kind for e in events]
+        assert kinds.count("chunk-timeout") == 1
+        assert report.failures
+        assert kinds.count("job-failed") == len(report.failures)
+        assert jobs[0] not in results
+        assert jobs[0].key() in {failure.key for failure in report.failures}
+
+    def test_watchdog_allowance_clamps(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "WATCHDOG_FLOOR_S", 10.0)
+        monkeypatch.setattr(executor_mod, "WATCHDOG_CEILING_S", 60.0)
+        monkeypatch.setattr(executor_mod, "WATCHDOG_FACTOR", 8.0)
+        assert watchdog_allowance_s(1, 0.001) == 10.0        # floor
+        assert watchdog_allowance_s(1000, 5.0) == 60.0       # ceiling
+        assert watchdog_allowance_s(2, None) == max(
+            10.0, 8.0 * executor_mod.WATCHDOG_INITIAL_EWMA_S * 2)  # seed
 
     def test_fault_free_runs_never_trip_the_default_watchdog(self):
         jobs = tiny_jobs("gcc", "lbm")
@@ -340,12 +430,11 @@ class TestWatchdog:
 class TestPoolRespawn:
     def test_injected_worker_kill_preserves_submission_order(self):
         jobs = tiny_jobs("gcc", "lbm", "mcf", "bzip2")
-        plan = FaultPlan(faults=(
+        install_plan(FaultPlan(faults=(
             FaultSpec(site="worker", index=1, action="exit",
-                      attempts=(1,)),))
+                      attempts=(1,)),)))
         with JobExecutor(cache=ResultCache(), jobs=2,
-                         failure_policy="retry_then_fail",
-                         retry=FAST_RETRY, fault_plan=plan) as executor:
+                         keep_going=True) as executor:
             results = executor.run(jobs)
             assert executor.pool_respawns >= 1
             assert executor.retries >= 1
@@ -353,30 +442,74 @@ class TestPoolRespawn:
         assert list(results) == jobs  # submission order, not completion
         assert as_dicts(results) == run_clean(jobs)
 
+    def test_lost_jobs_are_retried_like_failed_ones(self):
+        jobs = tiny_jobs("gcc", "lbm", "mcf", "bzip2")
+        install_plan(FaultPlan(faults=(
+            FaultSpec(site="worker", index=1, action="exit",
+                      attempts=(1,)),)))
+        events = []
+        with JobExecutor(cache=ResultCache(), jobs=2,
+                         keep_going=True) as executor:
+            executor.progress = CallbackSink(events.append)
+            results = executor.run(jobs)
+            report = executor.last_report
+        # Each job lost with the dead worker gets attempt 2, one counted
+        # retry and one job-retried event.
+        retried = [e for e in events if e.kind == "job-retried"]
+        assert report.retries == len(retried) >= 1
+        assert all(e.attempt == 2 for e in retried)
+        assert all("worker process died" in e.error for e in retried)
+        assert repr(jobs[1].describe()) in {e.job for e in retried}
+        assert not report.failures
+        assert as_dicts(results) == run_clean(jobs)
+
+    def test_exhausted_respawn_budget_fails_each_lost_job_once(
+            self, monkeypatch):
+        jobs = tiny_jobs("gcc", "lbm")
+        install_plan(FaultPlan(faults=(
+            FaultSpec(site="worker", index=0, action="exit",
+                      attempts=()),)))
+        monkeypatch.setattr(executor_mod, "POOL_RESPAWN_BUDGET", 0)
+        events = []
+        with JobExecutor(cache=ResultCache(), jobs=2,
+                         keep_going=True) as executor:
+            executor.progress = CallbackSink(events.append)
+            results = executor.run(jobs)
+            report = executor.last_report
+            assert executor.jobs_failed == len(report.failures)
+            assert executor.pool_respawns == 0
+        keys = [failure.key for failure in report.failures]
+        assert jobs[0].key() in keys and len(set(keys)) == len(keys)
+        assert all("respawn budget exhausted" in failure.error
+                   for failure in report.failures)
+        kinds = [e.kind for e in events]
+        assert kinds.count("job-failed") == len(keys)
+        assert "job-retried" not in kinds
+        assert "pool-respawned" not in kinds
+        assert jobs[0] not in results
+
     def test_fail_fast_still_raises_broken_pool(self):
         from concurrent.futures.process import BrokenProcessPool
 
         jobs = tiny_jobs("gcc", "lbm")
-        plan = FaultPlan(faults=(
+        install_plan(FaultPlan(faults=(
             FaultSpec(site="worker", index=0, action="exit",
-                      attempts=()),))
-        with JobExecutor(cache=ResultCache(), jobs=2,
-                         fault_plan=plan) as executor:
+                      attempts=()),)))
+        with JobExecutor(cache=ResultCache(), jobs=2) as executor:
             with pytest.raises(BrokenProcessPool):
                 executor.run(jobs)
             assert not executor.pool_active
 
-    def test_repeatedly_dying_worker_exhausts_respawn_budget(self):
+    def test_repeatedly_dying_worker_exhausts_respawn_budget(
+            self, monkeypatch):
         jobs = tiny_jobs("gcc", "lbm")
-        plan = FaultPlan(faults=(
+        install_plan(FaultPlan(faults=(
             FaultSpec(site="worker", index=0, action="exit",
-                      attempts=()),))  # dies on every attempt
+                      attempts=()),)))  # dies on every attempt
+        monkeypatch.setattr(executor_mod, "RETRY_MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(executor_mod, "POOL_RESPAWN_BUDGET", 2)
         with JobExecutor(cache=ResultCache(), jobs=2,
-                         failure_policy="retry_then_skip",
-                         retry=RetryPolicy(max_attempts=2,
-                                           backoff_base_s=0.0, jitter=0.0),
-                         fault_plan=plan,
-                         pool_respawn_budget=2) as executor:
+                         keep_going=True) as executor:
             results = executor.run(jobs)
             report = executor.last_report
         # The killer job is skipped, the respawn budget holds, and the
@@ -475,9 +608,11 @@ class TestCacheIntegrity:
         assert (tmp_path / "quarantine" / f"{bad_key}.json").exists()
         assert fresh.verify()["corrupt"] == []
 
-    def test_gzip_torn_write_detected(self, tmp_path):
+    def test_gzip_torn_write_detected(self, tmp_path, monkeypatch):
+        from repro.experiments.engine import cache as cache_module
+        monkeypatch.setattr(cache_module, "COMPRESS_MIN_BYTES", 0)
         key = "dd" + "6" * 62
-        cache = ResultCache(tmp_path, compress=True)
+        cache = ResultCache(tmp_path)
         cache.put(key, self._result())
         path = tmp_path / key[:2] / f"{key}.json.gz"
         assert path.exists()
@@ -541,8 +676,7 @@ class TestChaosScenario:
         install_plan(self.CHAOS)
         try:
             with JobExecutor(cache=ResultCache(tmp_path), jobs=2,
-                             failure_policy="retry_then_fail",
-                             retry=FAST_RETRY) as executor:
+                             keep_going=True) as executor:
                 results = executor.run(jobs)
                 assert executor.retries >= 2
                 assert executor.pool_respawns >= 1
@@ -559,11 +693,10 @@ class TestChaosScenario:
 
     def test_executor_and_cache_carry_reliability_counters(self):
         with JobExecutor(cache=ResultCache(), jobs=1,
-                         failure_policy="retry_then_skip",
-                         retry=FAST_RETRY) as executor:
+                         keep_going=True) as executor:
             executor.run(tiny_jobs("gcc") + [PoisonJob()])
             cache_stats = executor.cache.stats()
-        assert executor.retries == FAST_RETRY.max_attempts - 1
+        assert executor.retries == RETRY_MAX_ATTEMPTS - 1
         assert executor.jobs_skipped == 1
         assert executor.jobs_failed == 1
         assert executor.chunk_timeouts == 0
@@ -586,12 +719,12 @@ class TestCliFailureSurfaces:
                                                   capsys):
         import repro.cli as cli
 
-        report = BatchReport(total=3, policy="retry_then_fail")
+        report = BatchReport(total=3)
         report.failures.append(engine.JobFailure(
             description="{'kind': 'poison'}", key="poison:x", attempts=3,
             error="RuntimeError('this job is poisoned')",
             traceback="Traceback (most recent call last):\n...\n"))
-        error = JobExecutionError("boom", report=report)
+        error = JobExecutionError.from_report(report)
 
         def exploding_runner(scale):
             raise error
