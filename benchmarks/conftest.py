@@ -1,7 +1,7 @@
 """Shared scale, cache isolation, and printing helpers for the benchmarks.
 
 Every benchmark regenerates one of the paper's tables or figures at a
-reduced scale (see DESIGN.md / EXPERIMENTS.md for the scaling notes) and
+reduced scale (see docs/experiments.md for the scaling notes) and
 prints the resulting rows so the numbers can be compared with the paper.
 """
 

@@ -36,11 +36,11 @@ import time
 from repro.dram.standards import list_profiles
 from repro.experiments import engine
 from repro.experiments.engine import default_cache_dir
-from repro.experiments.figures import FIGURES, NAMED_FIGURES
-from repro.experiments.runner import (ExperimentScale, format_table,
-                                      geometric_mean, multicore_suite)
+from repro.experiments.figures import (FIGURES, NAMED_FIGURES,
+                                       design_space_sweep)
+from repro.experiments.runner import ExperimentScale, format_table
 from repro.experiments.static import STATIC_EXPERIMENTS
-from repro.sim.config import configuration_names
+from repro.sim.config import CONFIGURATION_NAMES
 from repro.sim.telemetry import DEFAULT_EPOCH_CYCLES
 
 #: Every ``run-figure`` choice: numbered figures plus named studies.
@@ -82,21 +82,6 @@ def _configure_engine(args) -> "engine.JobExecutor":
                             keep_going=args.keep_going)
 
 
-def _finish_batch(executor) -> int:
-    """Exit code for a batch that ran to completion.
-
-    Under ``--keep-going`` a batch can finish with skipped jobs; the
-    summary goes to stderr and the exit code turns nonzero so scripts
-    notice, even though the (partial) table printed fine.
-    """
-    report = executor.last_report
-    if report is None or not report.failures:
-        return 0
-    print(f"error: batch finished with failures: {report.summary()}",
-          file=sys.stderr)
-    return 1
-
-
 def _add_progress_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--progress", action="store_true",
                         help="live engine progress line on stderr")
@@ -126,14 +111,16 @@ def _report(data: dict, executor, elapsed_s: float) -> None:
           f"{executor.jobs} worker(s), {elapsed_s:.1f}s")
 
 
-def _cmd_run_figure(args) -> int:
+def _run_table(args, runner) -> int:
+    """Run ``runner(scale)`` on the configured engine and print its table.
+
+    A job skipped under ``--keep-going`` makes the runner raise
+    :class:`~repro.experiments.engine.JobExecutionError`, which
+    :func:`main` turns into exit 1 with the one-line summary.
+    """
     executor = _configure_engine(args)
     sink = _progress_sink(args)
     executor.progress = sink
-    if args.figure in NAMED_FIGURES:
-        runner = NAMED_FIGURES[args.figure]
-    else:
-        runner = FIGURES[int(args.figure)]
     start = time.perf_counter()
     try:
         data = runner(SCALES[args.scale]())
@@ -141,78 +128,29 @@ def _cmd_run_figure(args) -> int:
         if sink is not None:
             sink.close()
             executor.progress = None
-    _report(data, executor, time.perf_counter() - start)
-    return _finish_batch(executor)
-
-
-def _cmd_run_static(args) -> int:
-    executor = _configure_engine(args)
-    runner = STATIC_EXPERIMENTS[args.name]
-    start = time.perf_counter()
-    if args.name == "rowhammer":
-        data = runner(SCALES[args.scale]())
-    else:
-        data = runner()
     _report(data, executor, time.perf_counter() - start)
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    from repro.experiments.engine import SimJob
+def _cmd_run_figure(args) -> int:
+    if args.figure in NAMED_FIGURES:
+        return _run_table(args, NAMED_FIGURES[args.figure])
+    return _run_table(args, FIGURES[int(args.figure)])
 
+
+def _cmd_run_static(args) -> int:
+    runner = STATIC_EXPERIMENTS[args.name]
+    if args.name == "rowhammer":
+        return _run_table(args, runner)
+    return _run_table(args, lambda scale: runner())
+
+
+def _cmd_sweep(args) -> int:
     if not args.segment_blocks or not args.cache_rows:
         raise ValueError("sweep needs at least one segment size and one "
                          "cache capacity")
-    executor = _configure_engine(args)
-    sink = _progress_sink(args)
-    executor.progress = sink
-    scale = SCALES[args.scale]()
-    suite = multicore_suite(scale)
-    start = time.perf_counter()
-
-    jobs = {("Base", workload.name): SimJob.multicore("Base", workload, scale)
-            for workload in suite}
-    points = [(blocks, rows) for blocks in args.segment_blocks
-              for rows in args.cache_rows]
-    for blocks, rows in points:
-        for workload in suite:
-            jobs[((blocks, rows), workload.name)] = SimJob.multicore(
-                "FIGCache-Fast", workload, scale, segment_blocks=blocks,
-                cache_rows_per_bank=rows)
-    try:
-        results = executor.run(jobs.values())
-    finally:
-        if sink is not None:
-            sink.close()
-            executor.progress = None
-
-    table_rows = []
-    for blocks, rows in points:
-        # Under --keep-going a skipped job leaves a hole in ``results``;
-        # the sweep point it belonged to reports "n/a" instead of a
-        # number computed from a partial suite.
-        speedups = []
-        for workload in suite:
-            base = results.get(jobs[("Base", workload.name)])
-            other = results.get(jobs[((blocks, rows), workload.name)])
-            if base is None or other is None:
-                speedups = None
-                break
-            speedups.append(other.ipc_sum / base.ipc_sum)
-        size = blocks * 64
-        label = f"{size}B" if size < 1024 else f"{size // 1024}kB"
-        table_rows.append([label, rows,
-                           geometric_mean(speedups)
-                           if speedups else None])
-    data = {
-        "figure": "Design-space sweep",
-        "metric": "FIGCache-Fast weighted speedup over Base "
-                  "(geomean over the multiprogrammed suite)",
-        "columns": ["segment_size", "cache_rows_per_bank", "speedup"],
-        "rows": table_rows,
-    }
-    _report(data, executor, time.perf_counter() - start)
-    return _finish_batch(executor)
+    return _run_table(args, lambda scale: design_space_sweep(
+        scale, args.segment_blocks, args.cache_rows))
 
 
 def _cmd_timeline(args) -> int:
@@ -439,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("--configuration", default="FIGCache-Fast",
                           metavar="NAME",
                           help="configuration to simulate "
-                               "(default: FIGCache-Fast; any registered "
-                               f"name: {', '.join(configuration_names())})")
+                               "(default: FIGCache-Fast; one of "
+                               f"{', '.join(CONFIGURATION_NAMES)})")
     timeline.add_argument("--epoch", type=int,
                           default=DEFAULT_EPOCH_CYCLES, metavar="CYCLES",
                           help="epoch length in CPU cycles "
@@ -464,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--configuration", "--config", dest="configuration",
                        default="FIGCache-Fast", metavar="NAME",
                        help="configuration to simulate "
-                            "(default: FIGCache-Fast; any registered "
-                            f"name: {', '.join(configuration_names())})")
+                            "(default: FIGCache-Fast; one of "
+                            f"{', '.join(CONFIGURATION_NAMES)})")
     trace.add_argument("--scale", choices=sorted(SCALES), default="smoke",
                        help="trace length (default: smoke)")
     trace.add_argument("--max-events", type=int, default=None,

@@ -8,13 +8,14 @@ The package splits into a declarative layer and an execution layer:
   simulations across worker processes (``REPRO_JOBS``/``--jobs``) with a
   deterministic serial fallback.
 * :mod:`repro.experiments.figures` — one declarative runner per paper
-  figure (7–15); each enumerates its job batch and submits it to the
-  engine in one call.
+  figure (7–15), the named studies and the design-space sweep; each
+  declares its ``(label, configuration, overrides)`` points, runs them
+  over its workloads as one engine batch (:func:`run_points`), and
+  aggregates the results into rows.
 * :mod:`repro.experiments.static` — the analytical experiments (Tables
   1–2, RELOC timing, hardware overheads, the RowHammer-style study).
 * :mod:`repro.experiments.runner` — shared helpers (benchmark lists,
-  workload suites, geometric mean, table formatting) plus single-job
-  conveniences ``run_single_core``/``run_multicore``.
+  workload suites, geometric mean, table formatting).
 
 Every runner returns a plain dictionary (rows/series) that the benchmark
 harness and the ``python -m repro`` CLI print, so the same code
@@ -26,10 +27,8 @@ use an even smaller scale so CI stays fast.
 
 from repro.experiments.engine import (JobExecutor, ResultCache, SimJob,
                                       configure, get_executor, reset)
-from repro.experiments.runner import (ExperimentScale, clear_cache,
-                                      format_table, geometric_mean,
-                                      run_configuration, run_multicore,
-                                      run_single_core)
+from repro.experiments.runner import (ExperimentScale, format_table,
+                                      geometric_mean)
 from repro.experiments.figures import (FIGURES,
                                        figure7_single_core,
                                        figure8_multicore,
@@ -54,7 +53,6 @@ __all__ = [
     "ResultCache",
     "STATIC_EXPERIMENTS",
     "SimJob",
-    "clear_cache",
     "configure",
     "figure10_row_buffer_hit_rate",
     "figure11_energy",
@@ -70,9 +68,6 @@ __all__ = [
     "get_executor",
     "reset",
     "rowhammer_activation_study",
-    "run_configuration",
-    "run_multicore",
-    "run_single_core",
     "section42_reloc_timing",
     "section83_overhead",
     "table1_configuration",

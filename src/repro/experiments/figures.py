@@ -1,11 +1,12 @@
-"""Declarative runners for the paper's Figures 7–15.
+"""Declarative runners: Figures 7–15, the named studies and the sweep.
 
-Every figure function is now a thin experiment definition: it enumerates
-the :class:`~repro.experiments.engine.SimJob` points its plot needs,
-submits the whole batch to the process-wide
-:class:`~repro.experiments.engine.JobExecutor` in one call (so independent
-simulations can run on parallel workers and cached points are skipped),
-and assembles the result rows from the returned mapping.
+Every runner is a thin experiment definition.  It declares the
+``(label, configuration, overrides)`` points its plot compares, hands
+them with its workloads to :func:`run_points` (one batch on the
+process-wide :class:`~repro.experiments.engine.JobExecutor`, so
+independent simulations run on parallel workers and cached points are
+skipped), and aggregates the results into rows, mostly through the one
+per-category row builder :func:`_category_rows`.
 
 Every function returns a dictionary with a ``rows`` list (one row per data
 point the paper plots) plus the metadata needed to print it.  Weighted
@@ -20,13 +21,15 @@ warm persistent cache.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import replace
 
 from repro.dram.standards import PROFILES, get_profile
 from repro.experiments.engine import (JobExecutionError, SimJob,
                                       get_executor)
-from repro.experiments.runner import (DEFAULT_CONFIGURATIONS, ExperimentScale,
-                                      geometric_mean, multicore_suite,
-                                      single_core_benchmarks)
+from repro.experiments.runner import (ExperimentScale, geometric_mean,
+                                      multicore_suite, single_core_benchmarks)
+from repro.sim.config import CONFIGURATION_NAMES
+from repro.sim.metrics import SimulationResult
 from repro.sim.telemetry import LatencyHistogram
 
 #: Configurations compared by the in-DRAM cache metrics figures (9 and 10).
@@ -44,29 +47,30 @@ _LATENCY_CONFIGURATIONS = ("Base", "FIGCache-Fast", "LISA-VILLA")
 _DRAM_TYPE_BENCHMARKS = ("lbm", "mcf", "libquantum", "zeusmp", "GemsFDTD",
                          "bwaves")
 
-
-def _single_core_jobs(configurations, benchmarks, scale: ExperimentScale,
-                      **overrides) -> dict[tuple, SimJob]:
-    """One single-core job per (configuration, benchmark) pair."""
-    return {(configuration, benchmark):
-            SimJob.single_core(configuration, benchmark, scale, **overrides)
-            for configuration in configurations for benchmark in benchmarks}
+#: The energy components Figure 11 reports, in column order.
+_ENERGY_COMPONENTS = ("CPU", "L1&L2", "LLC", "Off-Chip", "DRAM", "Total")
 
 
-def _multicore_jobs(configurations, suite, scale: ExperimentScale,
-                    **overrides) -> dict[tuple, SimJob]:
-    """One multicore job per (configuration, workload) pair."""
-    return {(configuration, workload.name):
-            SimJob.multicore(configuration, workload, scale, **overrides)
-            for configuration in configurations for workload in suite}
+def run_points(points, workloads, scale: ExperimentScale
+               ) -> dict[tuple, SimulationResult]:
+    """Run every point on every workload as one engine batch.
 
-
-def _run_batch(jobs: dict[tuple, SimJob]) -> dict[tuple, object]:
-    """Submit one batch; returns results under the jobs' semantic keys.
-
-    A job skipped under ``--keep-going`` fails the figure: its rows would
-    otherwise be computed from part of the batch.
+    ``points`` are ``(label, configuration, overrides)`` triples, where
+    ``overrides`` are ``make_system_config`` knobs.  A workload is a
+    benchmark name (a single-core job) or a multiprogrammed workload (a
+    multicore job).  Returns the results under ``(label, workload
+    name)``.  A job skipped under ``--keep-going`` fails the batch: rows
+    computed from part of it would be wrong.
     """
+    jobs = {}
+    for label, configuration, overrides in points:
+        for workload in workloads:
+            if isinstance(workload, str):
+                jobs[(label, workload)] = SimJob.single_core(
+                    configuration, workload, scale, **overrides)
+            else:
+                jobs[(label, workload.name)] = SimJob.multicore(
+                    configuration, workload, scale, **overrides)
     executor = get_executor()
     results = executor.run(jobs.values())
     if executor.last_report.skipped:
@@ -74,92 +78,131 @@ def _run_batch(jobs: dict[tuple, SimJob]) -> dict[tuple, object]:
     return {key: results[job] for key, job in jobs.items()}
 
 
+def _points(configurations, **overrides) -> list[tuple]:
+    """One point per configuration, labelled with its name."""
+    return [(configuration, configuration, overrides)
+            for configuration in configurations]
+
+
+def _category_rows(categories: dict, labels, cells) -> list[list]:
+    """One ``[category, label, *cells(label, names)]`` row per pair.
+
+    ``categories`` maps each category to the names of its workloads;
+    rows run category by category, in the mapping's order, with the
+    labels in their given order inside each category.
+    """
+    return [[category, label, *cells(label, names)]
+            for category, names in categories.items() for label in labels]
+
+
+def _speedup(results, label, names, base="Base") -> float:
+    """Geometric-mean IPC-sum speedup of ``label`` over ``base``.
+
+    On one core the IPC sum is the core's IPC, so this is the
+    single-core speedup and the multicore weighted speedup alike.
+    """
+    return geometric_mean([results[(label, name)].ipc_sum
+                           / results[(base, name)].ipc_sum
+                           for name in names])
+
+
+def _mean(results, label, names, metric: str) -> float:
+    """Arithmetic mean of one result attribute over ``names``."""
+    values = [getattr(results[(label, name)], metric) for name in names]
+    return sum(values) / len(values)
+
+
+def _mix_categories(suite) -> dict[str, list[str]]:
+    """Mix names per intensity category, in ascending intensity."""
+    return {f"{int(fraction * 100)}% intensive":
+            [w.name for w in suite if w.intensive_fraction == fraction]
+            for fraction in sorted({w.intensive_fraction for w in suite})}
+
+
+def _one_and_eight_core(scale: ExperimentScale) -> tuple[dict, list]:
+    """Figures 9–11's categories: the single-core classes, then the mixes.
+
+    Returns the categories and every workload they name, for
+    :func:`run_points`.
+    """
+    classes = single_core_benchmarks(scale)
+    suite = multicore_suite(scale)
+    categories = {f"1-core {category}": group
+                  for category, group in classes.items()}
+    categories.update({f"8-core {category}": names for category, names
+                       in _mix_categories(suite).items()})
+    benchmarks = [b for group in classes.values() for b in group]
+    return categories, benchmarks + suite
+
+
+def _segment_label(blocks: int) -> str:
+    """A row segment size of ``blocks`` 64 B blocks, as 512B or 1kB."""
+    size = blocks * 64
+    return f"{size}B" if size < 1024 else f"{size // 1024}kB"
+
+
+def _speedup_rows(scale: ExperimentScale, categories: dict, workloads,
+                  variants: list[tuple]) -> list[list]:
+    """Each variant's geometric-mean speedup over Base, per category.
+
+    ``variants`` are ``(label, configuration, overrides)`` points; they
+    and the shared Base runs go to the engine as one batch, so a whole
+    sensitivity sweep parallelises across workers.
+    """
+    results = run_points([("Base", "Base", {}), *variants], workloads, scale)
+    return _category_rows(categories, [label for label, _, _ in variants],
+                          lambda label, names:
+                          [_speedup(results, label, names)])
+
+
+def _mix_speedup_rows(scale: ExperimentScale, variants: list[tuple]
+                      ) -> list[list]:
+    """Figures 8 and 12–15: :func:`_speedup_rows` per mix category."""
+    suite = multicore_suite(scale)
+    return _speedup_rows(scale, _mix_categories(suite), suite, variants)
+
+
 def figure7_single_core(scale: ExperimentScale | None = None,
-                        configurations=DEFAULT_CONFIGURATIONS) -> dict:
+                        configurations=CONFIGURATION_NAMES) -> dict:
     """Figure 7: single-core speedup over Base per intensity class."""
     scale = scale or ExperimentScale()
     categories = single_core_benchmarks(scale)
-    benchmarks = [b for group in categories.values() for b in group]
-    wanted = dict.fromkeys(("Base",) + tuple(configurations))
-    results = _run_batch(_single_core_jobs(wanted, benchmarks, scale))
-    rows = []
-    for category, group in categories.items():
-        speedups = defaultdict(list)
-        for benchmark in group:
-            base_ipc = results[("Base", benchmark)].cores[0].ipc
-            for configuration in configurations:
-                if configuration == "Base":
-                    continue
-                result = results[(configuration, benchmark)]
-                speedups[configuration].append(result.cores[0].ipc / base_ipc)
-        for configuration in configurations:
-            if configuration == "Base":
-                continue
-            rows.append([category, configuration,
-                         geometric_mean(speedups[configuration])])
     return {
         "figure": "Figure 7",
         "metric": "speedup over Base (geometric mean per category)",
         "columns": ["category", "configuration", "speedup"],
-        "rows": rows,
+        "rows": _speedup_rows(
+            scale, categories,
+            [b for group in categories.values() for b in group],
+            _points(c for c in configurations if c != "Base")),
     }
 
 
 def figure8_multicore(scale: ExperimentScale | None = None,
-                      configurations=DEFAULT_CONFIGURATIONS) -> dict:
+                      configurations=CONFIGURATION_NAMES) -> dict:
     """Figure 8: eight-core weighted speedup over Base per intensity mix."""
-    scale = scale or ExperimentScale()
-    suite = multicore_suite(scale)
-    results = _run_batch(_multicore_jobs(configurations, suite, scale))
-    rows = []
-    for fraction in sorted({w.intensive_fraction for w in suite}):
-        workloads = [w for w in suite if w.intensive_fraction == fraction]
-        for configuration in configurations:
-            if configuration == "Base":
-                continue
-            speedups = []
-            for workload in workloads:
-                base = results[("Base", workload.name)]
-                other = results[(configuration, workload.name)]
-                speedups.append(other.ipc_sum / base.ipc_sum)
-            rows.append([f"{int(fraction * 100)}% intensive", configuration,
-                         geometric_mean(speedups)])
     return {
         "figure": "Figure 8",
         "metric": "weighted speedup over Base (geometric mean per category)",
         "columns": ["category", "configuration", "speedup"],
-        "rows": rows,
+        "rows": _mix_speedup_rows(
+            scale or ExperimentScale(),
+            _points(c for c in configurations if c != "Base")),
     }
 
 
 def figure9_cache_hit_rate(scale: ExperimentScale | None = None) -> dict:
     """Figure 9: in-DRAM cache hit rate of the caching mechanisms."""
     scale = scale or ExperimentScale()
-    categories = single_core_benchmarks(scale)
-    benchmarks = [b for group in categories.values() for b in group]
-    suite = multicore_suite(scale)
-    single_jobs = _single_core_jobs(_CACHE_CONFIGURATIONS, benchmarks, scale)
-    multi_jobs = _multicore_jobs(_CACHE_CONFIGURATIONS, suite, scale)
-    results = _run_batch({**single_jobs, **multi_jobs})
-    rows = []
-    for category, group in categories.items():
-        for configuration in _CACHE_CONFIGURATIONS:
-            rates = [results[(configuration, benchmark)]
-                     .in_dram_cache_hit_rate for benchmark in group]
-            rows.append([f"1-core {category}", configuration,
-                         sum(rates) / len(rates)])
-    for fraction in sorted({w.intensive_fraction for w in suite}):
-        workloads = [w for w in suite if w.intensive_fraction == fraction]
-        for configuration in _CACHE_CONFIGURATIONS:
-            rates = [results[(configuration, w.name)].in_dram_cache_hit_rate
-                     for w in workloads]
-            rows.append([f"8-core {int(fraction * 100)}% intensive",
-                         configuration, sum(rates) / len(rates)])
+    categories, workloads = _one_and_eight_core(scale)
+    results = run_points(_points(_CACHE_CONFIGURATIONS), workloads, scale)
     return {
         "figure": "Figure 9",
         "metric": "in-DRAM cache hit rate",
         "columns": ["category", "configuration", "hit_rate"],
-        "rows": rows,
+        "rows": _category_rows(
+            categories, _CACHE_CONFIGURATIONS, lambda label, names:
+            [_mean(results, label, names, "in_dram_cache_hit_rate")]),
     }
 
 
@@ -167,31 +210,15 @@ def figure10_row_buffer_hit_rate(scale: ExperimentScale | None = None) -> dict:
     """Figure 10: DRAM row-buffer hit rate of the caching mechanisms."""
     scale = scale or ExperimentScale()
     configurations = ("Base",) + _CACHE_CONFIGURATIONS
-    categories = single_core_benchmarks(scale)
-    benchmarks = [b for group in categories.values() for b in group]
-    suite = multicore_suite(scale)
-    results = _run_batch({
-        **_single_core_jobs(configurations, benchmarks, scale),
-        **_multicore_jobs(configurations, suite, scale)})
-    rows = []
-    for category, group in categories.items():
-        for configuration in configurations:
-            rates = [results[(configuration, benchmark)].row_buffer_hit_rate
-                     for benchmark in group]
-            rows.append([f"1-core {category}", configuration,
-                         sum(rates) / len(rates)])
-    for fraction in sorted({w.intensive_fraction for w in suite}):
-        workloads = [w for w in suite if w.intensive_fraction == fraction]
-        for configuration in configurations:
-            rates = [results[(configuration, w.name)].row_buffer_hit_rate
-                     for w in workloads]
-            rows.append([f"8-core {int(fraction * 100)}% intensive",
-                         configuration, sum(rates) / len(rates)])
+    categories, workloads = _one_and_eight_core(scale)
+    results = run_points(_points(configurations), workloads, scale)
     return {
         "figure": "Figure 10",
         "metric": "DRAM row-buffer hit rate",
         "columns": ["category", "configuration", "row_buffer_hit_rate"],
-        "rows": rows,
+        "rows": _category_rows(
+            categories, configurations, lambda label, names:
+            [_mean(results, label, names, "row_buffer_hit_rate")]),
     }
 
 
@@ -199,85 +226,25 @@ def figure11_energy(scale: ExperimentScale | None = None) -> dict:
     """Figure 11: system energy breakdown normalised to Base."""
     scale = scale or ExperimentScale()
     configurations = ("Base", "FIGCache-Slow", "FIGCache-Fast")
-    categories = single_core_benchmarks(scale)
-    benchmarks = [b for group in categories.values() for b in group]
-    suite = multicore_suite(scale)
-    results = _run_batch({
-        **_single_core_jobs(configurations, benchmarks, scale),
-        **_multicore_jobs(configurations, suite, scale)})
+    categories, workloads = _one_and_eight_core(scale)
+    results = run_points(_points(configurations), workloads, scale)
 
-    def energy_row(label, configuration, pairs):
-        """pairs: (base_result, result) per workload in the category."""
+    def energy(label, names):
+        """Each component's per-workload energy over Base, averaged."""
         components = defaultdict(float)
-        for base, result in pairs:
-            normalized = result.energy.normalized_to(base.energy)
+        for name in names:
+            normalized = results[(label, name)].energy.normalized_to(
+                results[("Base", name)].energy)
             for component, value in normalized.items():
-                components[component] += value / len(pairs)
-        return [label, configuration,
-                components["CPU"], components["L1&L2"], components["LLC"],
-                components["Off-Chip"], components["DRAM"],
-                components["Total"]]
+                components[component] += value / len(names)
+        return [components[component] for component in _ENERGY_COMPONENTS]
 
-    rows = []
-    for category, group in categories.items():
-        for configuration in configurations:
-            pairs = [(results[("Base", b)], results[(configuration, b)])
-                     for b in group]
-            rows.append(energy_row(f"1-core {category}", configuration,
-                                   pairs))
-    for fraction in sorted({w.intensive_fraction for w in suite}):
-        workloads = [w for w in suite if w.intensive_fraction == fraction]
-        for configuration in configurations:
-            pairs = [(results[("Base", w.name)],
-                      results[(configuration, w.name)]) for w in workloads]
-            rows.append(energy_row(
-                f"8-core {int(fraction * 100)}% intensive", configuration,
-                pairs))
     return {
         "figure": "Figure 11",
         "metric": "energy normalised to Base",
-        "columns": ["category", "configuration", "CPU", "L1&L2", "LLC",
-                    "Off-Chip", "DRAM", "Total"],
-        "rows": rows,
+        "columns": ["category", "configuration", *_ENERGY_COMPONENTS],
+        "rows": _category_rows(categories, configurations, energy),
     }
-
-
-def _sweep_speedups(scale: ExperimentScale,
-                    variants: list[tuple[str, str, dict]]) -> dict:
-    """Weighted speedup over Base per category for a list of sweep points.
-
-    ``variants`` is a list of ``(label, configuration, overrides)`` points.
-    All (point, workload) jobs plus the shared Base jobs are submitted as
-    one batch, so a whole sensitivity sweep parallelises across workers.
-    Returns ``{label: {category: speedup}}`` with insertion order preserved.
-    """
-    suite = multicore_suite(scale)
-    jobs = _multicore_jobs(("Base",), suite, scale)
-    for label, configuration, overrides in variants:
-        for workload in suite:
-            jobs[(label, workload.name)] = SimJob.multicore(
-                configuration, workload, scale, **overrides)
-    results = _run_batch(jobs)
-    sweep: dict = {}
-    for label, _, _ in variants:
-        speedups: dict[str, list[float]] = defaultdict(list)
-        for workload in suite:
-            base = results[("Base", workload.name)]
-            other = results[(label, workload.name)]
-            category = f"{int(workload.intensive_fraction * 100)}% intensive"
-            speedups[category].append(other.ipc_sum / base.ipc_sum)
-        sweep[label] = {category: geometric_mean(values)
-                        for category, values in speedups.items()}
-    return sweep
-
-
-def _sweep_rows(sweep: dict) -> list[list]:
-    """Flatten a :func:`_sweep_speedups` mapping into sorted result rows."""
-    rows = []
-    for label, per_category in sweep.items():
-        for category, speedup in sorted(per_category.items()):
-            rows.append([category, label, speedup])
-    return rows
 
 
 def figure12_cache_capacity(scale: ExperimentScale | None = None,
@@ -292,7 +259,7 @@ def figure12_cache_capacity(scale: ExperimentScale | None = None,
         "figure": "Figure 12",
         "metric": "weighted speedup over Base vs. in-DRAM cache capacity",
         "columns": ["category", "fast_subarrays", "speedup"],
-        "rows": _sweep_rows(_sweep_speedups(scale, variants)),
+        "rows": _mix_speedup_rows(scale, variants),
     }
 
 
@@ -300,17 +267,15 @@ def figure13_segment_size(scale: ExperimentScale | None = None,
                           segment_sizes_blocks=(8, 16, 32, 64, 128)) -> dict:
     """Figure 13: sensitivity to the row segment size (512 B ... 8 kB)."""
     scale = scale or ExperimentScale()
-    variants = []
-    for blocks in segment_sizes_blocks:
-        label = f"{blocks * 64}B" if blocks * 64 < 1024 \
-            else f"{blocks * 64 // 1024}kB"
-        variants.append((label, "FIGCache-Fast", {"segment_blocks": blocks}))
+    variants = [(_segment_label(blocks), "FIGCache-Fast",
+                 {"segment_blocks": blocks})
+                for blocks in segment_sizes_blocks]
     variants.append(("LISA-VILLA", "LISA-VILLA", {}))
     return {
         "figure": "Figure 13",
         "metric": "weighted speedup over Base vs. row segment size",
         "columns": ["category", "segment_size", "speedup"],
-        "rows": _sweep_rows(_sweep_speedups(scale, variants)),
+        "rows": _mix_speedup_rows(scale, variants),
     }
 
 
@@ -325,7 +290,7 @@ def figure14_replacement_policy(scale: ExperimentScale | None = None,
         "figure": "Figure 14",
         "metric": "weighted speedup over Base vs. replacement policy",
         "columns": ["category", "policy", "speedup"],
-        "rows": _sweep_rows(_sweep_speedups(scale, variants)),
+        "rows": _mix_speedup_rows(scale, variants),
     }
 
 
@@ -340,7 +305,34 @@ def figure15_insertion_threshold(scale: ExperimentScale | None = None,
         "figure": "Figure 15",
         "metric": "weighted speedup over Base vs. insertion threshold",
         "columns": ["category", "threshold", "speedup"],
-        "rows": _sweep_rows(_sweep_speedups(scale, variants)),
+        "rows": _mix_speedup_rows(scale, variants),
+    }
+
+
+def design_space_sweep(scale: ExperimentScale | None = None,
+                       segment_blocks=(8, 16, 32),
+                       cache_rows=(32, 64, 128)) -> dict:
+    """Design-space sweep: FIGCache-Fast segment size x cache capacity.
+
+    One row per (segment size, cache rows per bank) point: its weighted
+    speedup over Base, as the geometric mean over the whole
+    multiprogrammed suite.
+    """
+    scale = scale or ExperimentScale()
+    suite = multicore_suite(scale)
+    variants = [((blocks, capacity), "FIGCache-Fast",
+                 {"segment_blocks": blocks, "cache_rows_per_bank": capacity})
+                for blocks in segment_blocks for capacity in cache_rows]
+    # One category, the whole suite; each label fills two columns.
+    speedups = _speedup_rows(scale, {"suite": [w.name for w in suite]},
+                             suite, variants)
+    return {
+        "figure": "Design-space sweep",
+        "metric": "FIGCache-Fast weighted speedup over Base "
+                  "(geomean over the multiprogrammed suite)",
+        "columns": ["segment_size", "cache_rows_per_bank", "speedup"],
+        "rows": [[_segment_label(blocks), capacity, speedup]
+                 for _, (blocks, capacity), speedup in speedups],
     }
 
 
@@ -372,24 +364,19 @@ def figure_dram_types(scale: ExperimentScale | None = None,
     standards = tuple(standards) if standards is not None \
         else tuple(PROFILES)
     wanted = dict.fromkeys(("Base",) + tuple(configurations))
-    jobs = {(standard, configuration, benchmark):
-            SimJob.single_core(configuration, benchmark, scale,
-                               standard=standard)
-            for standard in standards for configuration in wanted
-            for benchmark in benchmarks}
-    results = _run_batch(jobs)
+    results = run_points([((standard, configuration), configuration,
+                           {"standard": standard})
+                          for standard in standards
+                          for configuration in wanted], benchmarks, scale)
     rows = []
     for standard in standards:
         profile = get_profile(standard)
         for configuration in configurations:
-            if configuration == "Base":
-                continue
-            speedups = [
-                results[(standard, configuration, benchmark)].cores[0].ipc
-                / results[(standard, "Base", benchmark)].cores[0].ipc
-                for benchmark in benchmarks]
-            rows.append([standard, profile.family, profile.refresh_mode,
-                         configuration, geometric_mean(speedups)])
+            if configuration != "Base":
+                rows.append([standard, profile.family, profile.refresh_mode,
+                             configuration,
+                             _speedup(results, (standard, configuration),
+                                      benchmarks, base=(standard, "Base"))])
     return {
         "figure": "DRAM types",
         "metric": "speedup over Base on the same standard (geomean over "
@@ -420,33 +407,29 @@ def figure_latency(scale: ExperimentScale | None = None,
     ``tiny``/``smoke`` scales the in-DRAM cache never warms up, so those
     scales only smoke-test the plumbing.
     """
-    from dataclasses import replace
-
     scale = scale or ExperimentScale()
     pooled_scale = replace(
         scale, benchmarks_per_class=max(scale.benchmarks_per_class, 6))
     categories = single_core_benchmarks(pooled_scale)
-    benchmarks = [b for group in categories.values() for b in group]
-    results = _run_batch(_single_core_jobs(configurations, benchmarks, scale,
-                                           telemetry=True))
-    rows = []
-    for category, group in categories.items():
-        for configuration in configurations:
-            pooled = LatencyHistogram()
-            for benchmark in group:
-                telemetry = results[(configuration, benchmark)].telemetry
-                pooled.merge(telemetry.read_latency)
-            summary = pooled.summary()
-            rows.append([category, configuration, summary["p50"],
-                         summary["p95"], summary["p99"], summary["max"],
-                         summary["mean"]])
+    results = run_points(_points(configurations, telemetry=True),
+                         [b for group in categories.values() for b in group],
+                         scale)
+
+    def percentiles(label, names):
+        """Read-latency summary of the category's pooled histograms."""
+        pooled = LatencyHistogram()
+        for name in names:
+            pooled.merge(results[(label, name)].telemetry.read_latency)
+        summary = pooled.summary()
+        return [summary[key] for key in ("p50", "p95", "p99", "max", "mean")]
+
     return {
         "figure": "Latency distributions",
         "metric": "read latency percentiles in CPU cycles "
                   "(pooled over the figure-7 single-core workloads)",
         "columns": ["category", "configuration", "p50", "p95", "p99",
                     "max", "mean"],
-        "rows": rows,
+        "rows": _category_rows(categories, configurations, percentiles),
     }
 
 

@@ -1,82 +1,28 @@
-"""Shared machinery for the experiment runners.
+"""Shared helpers for the experiment runners.
 
-The runners simulate the same workloads on several configurations and report
-metrics normalised to Base, the way the paper's figures do.  All simulation
-traffic flows through the declarative experiment engine
-(:mod:`repro.experiments.engine`): each (configuration, workload, scale)
-point becomes a :class:`~repro.experiments.engine.SimJob`, the process-wide
-:class:`~repro.experiments.engine.JobExecutor` deduplicates and optionally
-parallelises the batch, and a content-addressed
-:class:`~repro.experiments.engine.ResultCache` lets Figures 8–11 — and
-repeated invocations, when a persistent cache directory is configured —
-share the underlying simulations instead of re-running them.
+The runners in :mod:`repro.experiments.figures` and
+:mod:`repro.experiments.static` simulate through the declarative
+experiment engine (:mod:`repro.experiments.engine`); this module holds
+what they share besides it: the single-core benchmark lists and the
+multiprogrammed suite at a given scale, the geometric mean the speedups
+aggregate with, and the fixed-width table printer.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.experiments.engine import ExperimentScale, SimJob, get_executor
-from repro.sim.config import CONFIGURATION_NAMES, SystemConfig
-from repro.sim.metrics import SimulationResult
-from repro.sim.system import run_workload
+from repro.experiments.engine import ExperimentScale
 from repro.workloads.multiprogram import (MultiprogrammedWorkload,
                                           make_workload_suite)
-from repro.workloads.trace import TraceRecord
-
-#: The default set of configurations the paper compares (Section 8) —
-#: derived from the configuration registry's built-in entries, which are
-#: registered in the paper's presentation order.
-DEFAULT_CONFIGURATIONS = CONFIGURATION_NAMES
 
 __all__ = [
-    "DEFAULT_CONFIGURATIONS",
     "ExperimentScale",
-    "clear_cache",
     "format_table",
     "geometric_mean",
     "multicore_suite",
-    "run_configuration",
-    "run_multicore",
-    "run_single_core",
     "single_core_benchmarks",
 ]
-
-
-def clear_cache() -> None:
-    """Drop all cached simulation results (memory and persistent)."""
-    get_executor().cache.clear()
-
-
-def run_configuration(config: SystemConfig, traces: list[list[TraceRecord]],
-                      workload_name: str, cache_key=None) -> SimulationResult:
-    """Run one pre-built (configuration, traces) pair directly.
-
-    Kept for callers that assemble their own configs/traces.  The
-    ``cache_key`` argument is ignored: caching is now handled by the
-    experiment engine, which keys on declarative :class:`SimJob` specs
-    rather than caller-supplied tuples.
-    """
-    del cache_key
-    return run_workload(config, traces, workload_name)
-
-
-def run_single_core(configuration: str, benchmark: str,
-                    scale: ExperimentScale,
-                    **config_overrides) -> SimulationResult:
-    """Simulate one benchmark on one configuration, single core."""
-    job = SimJob.single_core(configuration, benchmark, scale,
-                             **config_overrides)
-    return get_executor().run_one(job)
-
-
-def run_multicore(configuration: str, workload: MultiprogrammedWorkload,
-                  scale: ExperimentScale,
-                  **config_overrides) -> SimulationResult:
-    """Simulate one multiprogrammed mix on one configuration."""
-    job = SimJob.multicore(configuration, workload, scale,
-                           **config_overrides)
-    return get_executor().run_one(job)
 
 
 def multicore_suite(scale: ExperimentScale) -> list[MultiprogrammedWorkload]:
@@ -121,12 +67,8 @@ def format_table(title: str, columns: list[str],
     widths = [len(str(column)) for column in columns]
     rendered_rows = []
     for row in rows:
-        # ``None`` marks a cell whose jobs were skipped (--keep-going
-        # after exhausted retries): render a placeholder, not "None".
-        rendered = ["n/a" if value is None
-                    else f"{value:.3f}" if isinstance(value, float)
-                    else str(value)
-                    for value in row]
+        rendered = [f"{value:.3f}" if isinstance(value, float)
+                    else str(value) for value in row]
         rendered_rows.append(rendered)
         widths = [max(width, len(cell))
                   for width, cell in zip(widths, rendered)]

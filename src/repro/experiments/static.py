@@ -6,8 +6,9 @@ workload catalog (Table 2), the RELOC timing study (Section 4.2), the
 hardware overhead accounting (Section 8.3), and the qualitative
 RowHammer-style activation-concentration study (Sections 6 and 8.1).  The
 RowHammer study is the one entry that simulates; like the figures, it
-submits declarative jobs to the experiment engine, so its runs share the
-parallel executor and the persistent result cache.
+runs its points through :func:`~repro.experiments.figures.run_points`,
+so its runs share the parallel executor, the persistent result cache and
+the figures' skipped-job rule.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 from repro.analysis.overhead import OverheadModel
 from repro.circuit.reloc_timing import analyze_reloc_timing
 from repro.dram.config import DRAMConfig
-from repro.experiments.engine import (JobExecutionError, SimJob,
-                                      get_executor)
+from repro.experiments.figures import run_points
 from repro.experiments.runner import ExperimentScale
 from repro.sim.config import make_system_config
 from repro.workloads.catalog import BENCHMARKS
@@ -140,20 +140,16 @@ def rowhammer_activation_study(scale: ExperimentScale | None = None,
     """
     scale = scale or ExperimentScale()
     configurations = ("Base", "FIGCache-Fast")
-    jobs = {configuration: SimJob.single_core(configuration, benchmark,
-                                              scale,
-                                              track_row_activations=True)
-            for configuration in configurations}
-    executor = get_executor()
-    results = executor.run(jobs.values())
-    if executor.last_report.skipped:
-        raise JobExecutionError.from_report(executor.last_report)
+    results = run_points([(configuration, configuration,
+                           {"track_row_activations": True})
+                          for configuration in configurations],
+                         [benchmark], scale)
     rows = []
     for configuration in configurations:
-        job = jobs[configuration]
-        result = results[job]
+        result = results[(configuration, benchmark)]
         counts = result.dram_counters.row_activation_counts
-        regular_limit = job.build_config().dram.regular_rows_per_bank
+        dram = make_system_config(configuration).dram
+        regular_limit = dram.regular_rows_per_bank
         regular = {key: value for key, value in counts.items()
                    if key[1] < regular_limit}
         total_regular = sum(regular.values())

@@ -2,10 +2,9 @@
 
 * :mod:`repro.sim.config` — :class:`SystemConfig` ties together the DRAM
   organization, the caching mechanism, the core configuration, and the
-  workload scaling knobs; configurations live in a registry
-  (:func:`register_configuration`) with named constructors for every
-  configuration the paper evaluates (Base, LISA-VILLA, FIGCache-Slow/-Fast/
-  -Ideal, LL-DRAM).
+  sensitivity knobs; :func:`make_system_config` builds each of the six
+  configurations the paper evaluates (:data:`CONFIGURATION_NAMES`: Base,
+  LISA-VILLA, FIGCache-Slow/-Fast/-Ideal, LL-DRAM) by name.
 * :mod:`repro.sim.system` — builds a :class:`System` (cores + caches +
   DRAM + one controller and mechanism per channel) from a configuration
   and a set of traces.
@@ -18,10 +17,8 @@
   series, and pluggable probes (see ``docs/telemetry.md``).
 """
 
-from repro.sim.config import (CONFIGURATION_NAMES, MECHANISM_REGISTRY,
-                              ConfigurationSpec, SystemConfig,
-                              configuration_names, make_mechanism,
-                              make_system_config, register_configuration)
+from repro.sim.config import (CONFIGURATION_NAMES, SystemConfig,
+                              make_mechanism, make_system_config)
 from repro.sim.metrics import SimulationResult, weighted_speedup
 from repro.sim.simulator import Simulator
 from repro.sim.system import System, run_workload
@@ -30,9 +27,7 @@ from repro.sim.telemetry import (LatencyHistogram, Telemetry,
 
 __all__ = [
     "CONFIGURATION_NAMES",
-    "ConfigurationSpec",
     "LatencyHistogram",
-    "MECHANISM_REGISTRY",
     "SimulationResult",
     "Simulator",
     "System",
@@ -40,10 +35,8 @@ __all__ = [
     "Telemetry",
     "TelemetryConfig",
     "TelemetryResult",
-    "configuration_names",
     "make_mechanism",
     "make_system_config",
-    "register_configuration",
     "run_workload",
     "weighted_speedup",
 ]

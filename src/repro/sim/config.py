@@ -1,19 +1,13 @@
 """System configuration: the evaluated mechanisms and their DRAM setups.
 
-The paper evaluates six configurations (Section 8): Base, LISA-VILLA,
-FIGCache-Slow, FIGCache-Fast, FIGCache-Ideal, and LL-DRAM.  Each one is a
-combination of a DRAM organization (how many fast subarrays exist, whether
-every subarray is fast) and a caching mechanism (none, LISA-VILLA row
-caching, or FIGCache with a placement option).
-
-Configurations live in a registry (mirroring
-:func:`repro.dram.standards.register_profile`): each
-:class:`ConfigurationSpec` couples a mechanism factory with an optional
-``prepare`` hook that adjusts the DRAM organization and mechanism configs
-for that configuration.  :func:`register_configuration` adds
-project-specific configurations at runtime; :data:`CONFIGURATION_NAMES` is
-derived from the registry rather than hand-maintained.
-:func:`make_system_config` builds the right combination by name.
+The paper evaluates six configurations (Section 8), listed in
+:data:`CONFIGURATION_NAMES`: Base, LISA-VILLA, FIGCache-Slow,
+FIGCache-Fast, FIGCache-Ideal, and LL-DRAM.  Each one is a combination of
+a DRAM organization (how many fast subarrays exist, whether every
+subarray is fast) and a caching mechanism (none, LISA-VILLA row caching,
+or FIGCache with a placement option).  :func:`make_system_config` builds
+the right combination by name and :func:`make_mechanism` instantiates its
+caching mechanism.
 """
 
 from __future__ import annotations
@@ -21,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable
 
 from repro.baselines.base import BaseMechanism
 from repro.baselines.lisa_villa import LISAVillaConfig, LISAVillaMechanism
@@ -35,155 +28,16 @@ from repro.energy.dram_power import DRAMEnergyParams
 from repro.sim.telemetry import DEFAULT_EPOCH_CYCLES, TelemetryConfig
 
 
-@dataclass(frozen=True)
-class MechanismKnobs:
-    """The sensitivity knobs a configuration's ``prepare`` hook may use.
-
-    These are the Figure 12–15 sweep parameters of
-    :func:`make_system_config`; bundling them keeps the ``prepare``
-    signature stable when knobs are added.
-    """
-
-    segment_blocks: int = 16
-    cache_rows_per_bank: int = 64
-    fast_subarrays: int = 2
-    replacement_policy: str = "RowBenefit"
-    insertion_threshold: int = 1
-
-
-@dataclass(frozen=True)
-class ConfigurationSpec:
-    """One registered system configuration.
-
-    ``prepare(dram, knobs)`` returns the possibly-adjusted
-    ``(dram, figcache_config, lisa_villa_config)`` triple used to build
-    the :class:`SystemConfig`; ``mechanism_factory(config)`` instantiates
-    one per-channel caching mechanism for a built configuration.
-    """
-
-    name: str
-    mechanism_factory: Callable[["SystemConfig"], CachingMechanism]
-    prepare: Callable[[DRAMConfig, MechanismKnobs],
-                      tuple[DRAMConfig, FIGCacheConfig | None,
-                            LISAVillaConfig | None]] | None = None
-    description: str = ""
-
-
-#: Registered configurations by name, in registration (presentation)
-#: order.  The paper's six configurations are registered below; runtime
-#: extensions go through :func:`register_configuration`.
-MECHANISM_REGISTRY: dict[str, ConfigurationSpec] = {}
-
-
-def register_configuration(name: str,
-                           mechanism_factory: Callable,
-                           prepare: Callable | None = None,
-                           description: str = "") -> ConfigurationSpec:
-    """Register a system configuration (extension point).
-
-    Mirrors :func:`repro.dram.standards.register_profile`: after
-    registration the configuration is buildable with
-    :func:`make_system_config`, listed by :func:`configuration_names`, and
-    usable anywhere a configuration name is accepted.  Re-registering an
-    existing name is rejected to keep experiment identities stable.
-    """
-    if name in MECHANISM_REGISTRY:
-        raise ValueError(f"configuration {name!r} is already registered")
-    spec = ConfigurationSpec(name=name, mechanism_factory=mechanism_factory,
-                             prepare=prepare, description=description)
-    MECHANISM_REGISTRY[name] = spec
-    return spec
-
-
-def configuration_names() -> tuple[str, ...]:
-    """Every registered configuration name, in registration order."""
-    return tuple(MECHANISM_REGISTRY)
-
-
-# ----------------------------------------------------------------------
-# The paper's six configurations (Section 8).
-# ----------------------------------------------------------------------
-def _prepare_ll_dram(dram, knobs):
-    del knobs
-    return replace(dram, all_subarrays_fast=True), None, None
-
-
-def _prepare_lisa_villa(dram, knobs):
-    del knobs
-    lisa_config = LISAVillaConfig()
-    dram = replace(
-        dram,
-        fast_subarrays_per_bank=lisa_config.fast_subarrays_per_bank,
-        rows_per_fast_subarray=32)
-    return dram, None, lisa_config
-
-
-def _prepare_figcache(placement: str):
-    """Build a ``prepare`` hook for one FIGCache placement option."""
-    def prepare(dram, knobs):
-        if placement != "slow":
-            rows_per_fast = 32
-            needed_fast_subarrays = max(
-                knobs.fast_subarrays,
-                -(-knobs.cache_rows_per_bank // rows_per_fast))  # ceiling
-            dram = replace(dram,
-                           fast_subarrays_per_bank=needed_fast_subarrays,
-                           rows_per_fast_subarray=rows_per_fast)
-        figcache_config = FIGCacheConfig(
-            segment_blocks=knobs.segment_blocks,
-            cache_rows_per_bank=knobs.cache_rows_per_bank,
-            placement=placement,
-            replacement_policy=knobs.replacement_policy,
-            insertion_threshold=knobs.insertion_threshold)
-        return dram, figcache_config, None
-    return prepare
-
-
-def _base_mechanism(config: "SystemConfig") -> CachingMechanism:
-    del config
-    return BaseMechanism()
-
-
-def _lisa_villa_mechanism(config: "SystemConfig") -> CachingMechanism:
-    return LISAVillaMechanism(config.dram, config.lisa_villa)
-
-
-def _figcache_mechanism(config: "SystemConfig") -> CachingMechanism:
-    return FIGCache(config.dram, config.figcache)
-
-
-register_configuration(
-    "Base", _base_mechanism,
-    description="conventional DRAM, no in-DRAM cache")
-register_configuration(
-    "LISA-VILLA", _lisa_villa_mechanism, _prepare_lisa_villa,
-    description="LISA row-granularity in-DRAM cache baseline")
-register_configuration(
-    "FIGCache-Slow", _figcache_mechanism, _prepare_figcache("slow"),
-    description="FIGCache with cache rows in normal (slow) subarrays")
-register_configuration(
-    "FIGCache-Fast", _figcache_mechanism, _prepare_figcache("fast"),
-    description="FIGCache with cache rows in fast subarrays")
-register_configuration(
-    "FIGCache-Ideal", _figcache_mechanism, _prepare_figcache("ideal"),
-    description="FIGCache with idealised placement")
-register_configuration(
-    "LL-DRAM", _base_mechanism, _prepare_ll_dram,
-    description="every subarray fast, no caching (latency upper bound)")
-
-#: Names of the built-in configurations, in presentation order — derived
-#: from the registry at import (a snapshot, mirroring
-#: ``standards.STANDARD_NAMES``; consumers that must see
-#: runtime-registered configurations too should call
-#: :func:`configuration_names` instead).
-CONFIGURATION_NAMES = configuration_names()
+#: The paper's six configurations (Section 8), in presentation order.
+CONFIGURATION_NAMES = ("Base", "LISA-VILLA", "FIGCache-Slow", "FIGCache-Fast",
+                       "FIGCache-Ideal", "LL-DRAM")
 
 
 @dataclass(frozen=True)
 class SystemConfig:
     """Everything needed to build one simulated system."""
 
-    #: Configuration name (a :data:`MECHANISM_REGISTRY` key).
+    #: Configuration name (one of :data:`CONFIGURATION_NAMES`).
     name: str
     #: DRAM organization (includes fast subarray layout).
     dram: DRAMConfig
@@ -227,19 +81,19 @@ def config_digest(config: SystemConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _registry_spec(name: str) -> ConfigurationSpec:
-    spec = MECHANISM_REGISTRY.get(name)
-    if spec is None:
-        raise ValueError(f"unknown configuration {name!r}; choose one of "
-                         f"{configuration_names()}")
-    return spec
-
-
 def make_mechanism(config: SystemConfig) -> list[CachingMechanism]:
-    """Instantiate one caching-mechanism object per channel."""
-    spec = _registry_spec(config.name)
-    return [spec.mechanism_factory(config)
-            for _ in range(config.dram.channels)]
+    """Instantiate one caching-mechanism object per channel.
+
+    The mechanism follows the configuration's mechanism config: FIGCache
+    or LISA-VILLA when one is set, otherwise none (Base and LL-DRAM).
+    """
+    channels = range(config.dram.channels)
+    if config.figcache is not None:
+        return [FIGCache(config.dram, config.figcache) for _ in channels]
+    if config.lisa_villa is not None:
+        return [LISAVillaMechanism(config.dram, config.lisa_villa)
+                for _ in channels]
+    return [BaseMechanism() for _ in channels]
 
 
 def make_system_config(name: str, channels: int = 1,
@@ -267,7 +121,9 @@ def make_system_config(name: str, channels: int = 1,
     ``telemetry_epoch_cycles`` cycles; telemetry never changes simulated
     results, only what the result reports.
     """
-    spec = _registry_spec(name)
+    if name not in CONFIGURATION_NAMES:
+        raise ValueError(f"unknown configuration {name!r}; choose one of "
+                         f"{CONFIGURATION_NAMES}")
     core = core or CoreConfig()
     profile = get_profile(standard)
     dram = DRAMConfig.from_profile(profile, channels=channels)
@@ -276,13 +132,30 @@ def make_system_config(name: str, channels: int = 1,
 
     figcache_config: FIGCacheConfig | None = None
     lisa_config: LISAVillaConfig | None = None
-    if spec.prepare is not None:
-        knobs = MechanismKnobs(segment_blocks=segment_blocks,
-                               cache_rows_per_bank=cache_rows_per_bank,
-                               fast_subarrays=fast_subarrays,
-                               replacement_policy=replacement_policy,
-                               insertion_threshold=insertion_threshold)
-        dram, figcache_config, lisa_config = spec.prepare(dram, knobs)
+    if name == "LL-DRAM":
+        dram = replace(dram, all_subarrays_fast=True)
+    elif name == "LISA-VILLA":
+        lisa_config = LISAVillaConfig()
+        dram = replace(
+            dram,
+            fast_subarrays_per_bank=lisa_config.fast_subarrays_per_bank,
+            rows_per_fast_subarray=32)
+    elif name.startswith("FIGCache-"):
+        placement = name.removeprefix("FIGCache-").lower()
+        if placement != "slow":
+            rows_per_fast = 32
+            needed_fast_subarrays = max(
+                fast_subarrays,
+                -(-cache_rows_per_bank // rows_per_fast))  # ceiling
+            dram = replace(dram,
+                           fast_subarrays_per_bank=needed_fast_subarrays,
+                           rows_per_fast_subarray=rows_per_fast)
+        figcache_config = FIGCacheConfig(
+            segment_blocks=segment_blocks,
+            cache_rows_per_bank=cache_rows_per_bank,
+            placement=placement,
+            replacement_policy=replacement_policy,
+            insertion_threshold=insertion_threshold)
 
     telemetry_config = TelemetryConfig(epoch_cycles=telemetry_epoch_cycles) \
         if telemetry else None

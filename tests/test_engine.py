@@ -598,12 +598,17 @@ class TestGeometricMean:
 
 
 class TestCLI:
-    def test_run_figure_warm_cache_second_invocation(self, tmp_path, capsys):
-        argv = ["run-figure", "7", "--scale", "tiny", "--jobs", "2",
-                "--cache-dir", str(tmp_path)]
+    @pytest.mark.parametrize("command, title", (
+        (["run-figure", "7"], "Figure 7"),
+        (["sweep", "--segment-blocks", "8,16", "--cache-rows", "32"],
+         "Design-space sweep")), ids=("run-figure-7", "sweep"))
+    def test_run_figure_warm_cache_second_invocation(self, command, title,
+                                                     tmp_path, capsys):
+        argv = command + ["--scale", "tiny", "--jobs", "2",
+                          "--cache-dir", str(tmp_path)]
         assert main(argv) == 0
         cold = capsys.readouterr().out
-        assert "Figure 7" in cold
+        assert title in cold
         assert "0 simulations executed" not in cold
 
         assert main(argv) == 0

@@ -1,12 +1,19 @@
 """Integration tests: system assembly, the event-driven simulator, metrics,
 and the experiment runners."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.experiments import (ExperimentScale, figure7_single_core,
-                               format_table, rowhammer_activation_study,
+from repro.cli import FIGURE_CHOICES
+from repro.experiments import (ExperimentScale, engine, figure7_single_core,
+                               figure14_replacement_policy, format_table,
+                               rowhammer_activation_study,
                                section42_reloc_timing, section83_overhead,
                                table1_configuration, table2_workloads)
+from repro.experiments.figures import (FIGURES, NAMED_FIGURES,
+                                       design_space_sweep)
 from repro.experiments.runner import geometric_mean
 from repro.sim import (CONFIGURATION_NAMES, SystemConfig, make_mechanism,
                        make_system_config, run_workload, weighted_speedup)
@@ -15,6 +22,12 @@ from repro.workloads import get_benchmark
 from repro.workloads.multiprogram import make_multiprogrammed_workload
 
 RECORDS = 2500
+
+#: Title, columns and rows of every ``run-figure`` runner and of
+#: ``sweep --segment-blocks 8,16,32 --cache-rows 32,64`` at
+#: ``ExperimentScale.tiny()``.
+FIGURE_TABLES = json.loads(
+    (Path(__file__).parent / "golden" / "figures_tiny.json").read_text())
 
 
 def quick_result(configuration, benchmark="lbm", records=RECORDS, **overrides):
@@ -178,3 +191,39 @@ class TestExperimentRunners:
     def test_format_table_renders_all_rows(self):
         text = format_table("T", ["a", "b"], [[1, 2.5], ["x", 3.0]])
         assert "2.500" in text and "x" in text
+
+
+class TestFigureTables:
+    """Every figure table and the sweep table, pinned at tiny scale."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def shared_memory_engine(self):
+        """One memory-only engine, so the runners share simulations."""
+        engine.configure(cache_dir=None)
+        yield
+        engine.reset()
+
+    def test_golden_covers_every_runner(self):
+        assert set(FIGURE_TABLES) == set(FIGURE_CHOICES) | {"sweep"}
+
+    @pytest.mark.parametrize("name", list(FIGURE_TABLES))
+    def test_table_matches_golden(self, name):
+        scale = ExperimentScale.tiny()
+        if name == "sweep":
+            data = design_space_sweep(scale, (8, 16, 32), (32, 64))
+        elif name in NAMED_FIGURES:
+            data = NAMED_FIGURES[name](scale)
+        else:
+            data = FIGURES[int(name)](scale)
+        expected = FIGURE_TABLES[name]
+        assert f"{data['figure']}: {data['metric']}" == expected["title"]
+        assert data["columns"] == expected["columns"]
+        # JSON text tells ints from floats and prints every float exactly.
+        assert [json.dumps(row) for row in data["rows"]] \
+            == [json.dumps(row) for row in expected["rows"]]
+
+    def test_sensitivity_categories_in_ascending_intensity(self):
+        rows = figure14_replacement_policy(ExperimentScale.tiny())["rows"]
+        intensities = [int(row[0].split("%")[0]) for row in rows]
+        assert intensities == sorted(intensities)
+        assert sorted(set(intensities)) == [25, 50, 75, 100]

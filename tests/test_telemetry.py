@@ -3,7 +3,7 @@
 Covers the exact latency histograms, the epoch time-series sampler, the
 observation-must-not-perturb guarantee (golden fixtures bit-identical with
 telemetry ON), serialisation round trips through the result cache format,
-the configuration registry extension point, and the tolerant
+the fixed configuration names, and the tolerant
 ``from_dict`` fallbacks for older cached payloads.
 """
 
@@ -14,9 +14,7 @@ import pytest
 
 from repro.experiments.engine import ExperimentScale
 from repro.experiments.figures import figure_latency
-from repro.sim.config import (MECHANISM_REGISTRY, configuration_names,
-                              make_mechanism, make_system_config,
-                              register_configuration)
+from repro.sim.config import CONFIGURATION_NAMES, make_system_config
 from repro.sim.metrics import CoreResult, SimulationResult
 from repro.sim.system import run_workload
 from repro.sim.telemetry import (DEFAULT_EPOCH_CYCLES, EpochSeries,
@@ -253,47 +251,17 @@ class TestGoldenStabilityWithTelemetryOn:
 
 
 # ----------------------------------------------------------------------
-# Configuration registry (satellite).
+# Configuration names (satellite).
 # ----------------------------------------------------------------------
 class TestConfigurationRegistry:
-    def test_builtin_names_derived_from_registry(self):
-        assert configuration_names()[:6] == (
+    def test_builtin_names_in_presentation_order(self):
+        assert CONFIGURATION_NAMES == (
             "Base", "LISA-VILLA", "FIGCache-Slow", "FIGCache-Fast",
             "FIGCache-Ideal", "LL-DRAM")
 
     def test_unknown_configuration_rejected(self):
         with pytest.raises(ValueError, match="unknown configuration"):
             make_system_config("NoSuchConfig")
-
-    def test_duplicate_registration_rejected(self):
-        from repro.baselines.base import BaseMechanism
-        with pytest.raises(ValueError, match="already registered"):
-            register_configuration("Base", lambda config: BaseMechanism())
-
-    def test_runtime_registered_configuration_builds_and_runs(self):
-        from dataclasses import replace
-
-        from repro.baselines.base import BaseMechanism
-
-        name = "Test-Open-Page"
-        if name not in MECHANISM_REGISTRY:
-            register_configuration(
-                name,
-                lambda config: BaseMechanism(),
-                prepare=lambda dram, knobs:
-                    (replace(dram, all_subarrays_fast=True), None, None),
-                description="test-only registration")
-        try:
-            assert name in configuration_names()
-            config = make_system_config(name)
-            assert config.dram.all_subarrays_fast
-            mechanisms = make_mechanism(config)
-            assert len(mechanisms) == config.dram.channels
-            result = _run_single(name, records=400)
-            assert result.configuration == name
-            assert result.total_cycles > 0
-        finally:
-            MECHANISM_REGISTRY.pop(name, None)
 
 
 # ----------------------------------------------------------------------
