@@ -67,10 +67,10 @@ class _BankState:
 
     #: Map from source row to its tag entry.
     entries: dict[int, _RowEntry]
-    #: Cache slots (0 .. cache_rows_per_bank - 1) not currently used.
-    free_slots: list[int]
-    #: Reverse map from cache slot to source row.
-    slot_to_row: dict[int, int]
+    #: Cache slots never used yet: slots ``0 .. unused_slots - 1``, handed
+    #: out highest first.  An evicted slot is refilled at once, so a used
+    #: slot never becomes free again.
+    unused_slots: int
 
 
 class LISAVillaMechanism(CachingMechanism):
@@ -98,12 +98,9 @@ class LISAVillaMechanism(CachingMechanism):
         self._hops_by_subarray = [
             min(period - (subarray % period), (subarray % period) + 1)
             for subarray in range(dram_config.subarrays_per_bank)]
-        #: Per-bank states, eagerly built at system-assembly time.
+        #: Per-bank states, built at system-assembly time.
         self._banks: dict[int, _BankState] = {
-            flat_bank: _BankState(
-                entries={},
-                free_slots=list(range(self._cfg.cache_rows_per_bank)),
-                slot_to_row={})
+            flat_bank: _BankState({}, self._cfg.cache_rows_per_bank)
             for flat_bank in range(dram_config.banks_per_channel)}
 
     # ------------------------------------------------------------------
@@ -206,8 +203,9 @@ class LISAVillaMechanism(CachingMechanism):
         relocation_cycles = 0
         current = now
 
-        if state.free_slots:
-            slot = state.free_slots.pop()
+        if state.unused_slots:
+            state.unused_slots -= 1
+            slot = state.unused_slots
         else:
             slot, writeback_cycles, current = self._evict_row(
                 channel, current, flat_bank, state)
@@ -225,7 +223,6 @@ class LISAVillaMechanism(CachingMechanism):
         state.entries[source_row] = _RowEntry(cache_slot=slot,
                                               source_row=source_row,
                                               dirty=dirty, benefit=1)
-        state.slot_to_row[slot] = source_row
         if self.tracer is not None:
             self.tracer.mechanism_event(
                 outcome.completion_cycle, channel.channel_id, flat_bank,
@@ -254,7 +251,6 @@ class LISAVillaMechanism(CachingMechanism):
                 best_slot = entry.cache_slot
         slot = victim_row.cache_slot
         del state.entries[victim_row.source_row]
-        del state.slot_to_row[slot]
         self.stats.evictions += 1
 
         writeback_cycles = 0
@@ -279,9 +275,6 @@ class LISAVillaMechanism(CachingMechanism):
     def _bank_state(self, flat_bank: int) -> _BankState:
         state = self._banks.get(flat_bank)
         if state is None:
-            state = _BankState(entries={},
-                               free_slots=list(
-                                   range(self._cfg.cache_rows_per_bank)),
-                               slot_to_row={})
+            state = _BankState({}, self._cfg.cache_rows_per_bank)
             self._banks[flat_bank] = state
         return state

@@ -23,7 +23,7 @@ request the controller looks up the FTS:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.insertion import InsertionPolicy, make_insertion_policy
 from repro.core.mechanism import CachingMechanism, ServiceResult
@@ -82,19 +82,13 @@ class FIGCacheConfig:
                     f"{dram.rows_per_subarray}-row subarray")
 
 
-@dataclass
+@dataclass(slots=True)
 class _BankCache:
-    """Per-bank cache state: tag store, policies, and row id mapping."""
+    """Per-bank cache state: tag store and policies."""
 
     tags: FigTagStore
     replacement: ReplacementPolicy
     insertion: InsertionPolicy
-    #: Bank-level row ids of the cache rows, indexed by cache-row number.
-    cache_row_ids: list[int]
-    #: Subarray that must not be cached from (slow placement only; -1 if n/a).
-    excluded_subarray: int = -1
-    #: Pending-eviction bookkeeping is held by the replacement policy.
-    extra: dict = field(default_factory=dict)
 
 
 class FIGCache(CachingMechanism):
@@ -110,11 +104,17 @@ class FIGCache(CachingMechanism):
         self._ideal_placement = self._cfg.placement == "ideal"
         self._segments_per_source_row = (dram_config.blocks_per_row
                                          // self._cfg.segment_blocks)
-        #: Per-bank caches, eagerly built for every bank of the channel so
-        #: the tag stores and policies are constructed at system-assembly
-        #: time rather than lazily on the first access of each bank.
-        #: (:meth:`_bank_cache` still handles out-of-range flat banks for
-        #: callers that probe unusual topologies.)
+        #: Bank-level row ids of the cache rows, indexed by cache-row
+        #: number, and the subarray that must not be cached from (slow
+        #: placement only; -1 if n/a).  Every bank has the same layout.
+        self._cache_row_ids, self._excluded_subarray = \
+            self._cache_row_layout()
+        #: Per-bank caches, built for every bank of the channel at
+        #: system-assembly time.  Each tag store creates a slot's entry
+        #: only when the slot is first filled, so this costs O(banks),
+        #: not O(banks x cache slots).  (:meth:`_bank_cache` still handles
+        #: out-of-range flat banks for callers that probe unusual
+        #: topologies.)
         self._banks: dict[int, _BankCache] = {
             flat_bank: self._build_bank_cache()
             for flat_bank in range(dram_config.banks_per_channel)}
@@ -172,7 +172,7 @@ class FIGCache(CachingMechanism):
         if not tags._entries[slot].dirty \
                 and channel.bank(flat_bank).open_row == row:
             return row
-        return bank_cache.cache_row_ids[slot // tags._segments_per_row]
+        return self._cache_row_ids[slot // tags._segments_per_row]
 
     def service(self, channel: Channel, now: int, decoded: DecodedAddress,
                 flat_bank: int, is_write: bool) -> ServiceResult:
@@ -211,7 +211,7 @@ class FIGCache(CachingMechanism):
                     and channel.bank(flat_bank).open_row == row:
                 target_row = row
             else:
-                target_row = bank_cache.cache_row_ids[
+                target_row = self._cache_row_ids[
                     slot // tags._segments_per_row]
 
             access = channel.access(now, flat_bank, target_row, is_write)
@@ -226,8 +226,7 @@ class FIGCache(CachingMechanism):
         relocation_cycles = 0
 
         insertion = bank_cache.insertion
-        if (bank_cache.excluded_subarray < 0
-                or self._may_cache(bank_cache, row)) \
+        if (self._excluded_subarray < 0 or self._may_cache(row)) \
                 and (insertion.always_inserts
                      or insertion.should_insert(row, segment)):
             relocation_cycles = self._insert_segment(
@@ -258,8 +257,7 @@ class FIGCache(CachingMechanism):
             relocation_cycles += writeback_cycles
 
         if not self._ideal_placement:
-            cache_row = bank_cache.cache_row_ids[
-                slot // tags._segments_per_row]
+            cache_row = self._cache_row_ids[slot // tags._segments_per_row]
             result = channel.relocate(current, flat_bank, source_row,
                                       cache_row, self._segment_blocks,
                                       keep_source_open=True)
@@ -294,7 +292,7 @@ class FIGCache(CachingMechanism):
         writeback_cycles = 0
         current = now
         if victim.dirty and not self._ideal_placement:
-            cache_row = bank_cache.cache_row_ids[
+            cache_row = self._cache_row_ids[
                 victim_slot // tags._segments_per_row]
             result = channel.relocate(current, flat_bank, cache_row,
                                       victim.source_row,
@@ -317,12 +315,10 @@ class FIGCache(CachingMechanism):
     # ------------------------------------------------------------------
     # Bank-cache construction and placement rules.
     # ------------------------------------------------------------------
-    def _may_cache(self, bank_cache: _BankCache, source_row: int) -> bool:
+    def _may_cache(self, source_row: int) -> bool:
         """Segments from the excluded subarray (slow placement) stay uncached."""
-        if bank_cache.excluded_subarray < 0:
-            return True
         return (self._dram.subarray_of_row(source_row)
-                != bank_cache.excluded_subarray)
+                != self._excluded_subarray)
 
     def _bank_cache(self, flat_bank: int) -> _BankCache:
         bank_cache = self._banks.get(flat_bank)
@@ -338,10 +334,8 @@ class FIGCache(CachingMechanism):
         replacement = make_replacement_policy(self._cfg.replacement_policy,
                                               tags, seed=self._cfg.seed)
         insertion = make_insertion_policy(self._cfg.insertion_threshold)
-        cache_row_ids, excluded = self._cache_row_layout()
         return _BankCache(tags=tags, replacement=replacement,
-                          insertion=insertion, cache_row_ids=cache_row_ids,
-                          excluded_subarray=excluded)
+                          insertion=insertion)
 
     def _cache_row_layout(self) -> tuple[list[int], int]:
         """Bank-level row ids used as cache rows, and the excluded subarray."""

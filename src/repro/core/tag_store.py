@@ -8,6 +8,13 @@ segment of any row of the bank may occupy any cache slot.
 Each entry holds the paper's four fields: the tag (original row and segment
 index), a valid bit, a dirty bit, and a saturating benefit counter used by
 the benefit-based replacement policies.
+
+A slot's :class:`TagEntry` is created the first time the slot is filled.
+Slots are handed out lowest first, so the created entries are always the
+slots ``0 .. n - 1`` for some ``n``, and a tag store whose cache never
+fills costs only the entries it used: building one is O(1), not
+O(cache slots).  Every accessor still answers for all ``num_slots``
+slots; a slot that was never filled reads as a fresh, invalid entry.
 """
 
 from __future__ import annotations
@@ -44,7 +51,9 @@ class TagEntry:
 class FigTagStore:
     """Fully-associative tag store for the in-DRAM cache of one bank."""
 
-    __slots__ = ('_num_cache_rows', '_segments_per_row', '_benefit_max', '_entries', '_lookup', '_touch_counter', '_free_heap')
+    __slots__ = ('_num_cache_rows', '_segments_per_row', '_num_slots',
+                 '_benefit_max', '_entries', '_lookup', '_touch_counter',
+                 '_free_heap')
 
     def __init__(self, num_cache_rows: int, segments_per_row: int,
                  benefit_bits: int = 5):
@@ -52,19 +61,21 @@ class FigTagStore:
             raise ValueError("cache must have at least one row and one slot")
         self._num_cache_rows = num_cache_rows
         self._segments_per_row = segments_per_row
+        self._num_slots = num_cache_rows * segments_per_row
         self._benefit_max = (1 << benefit_bits) - 1
-        self._entries = [TagEntry(slot=slot)
-                         for slot in range(num_cache_rows * segments_per_row)]
+        #: Entries of the slots created so far, indexed by slot: always
+        #: slots ``0 .. len - 1``.  ``len`` is the never-used frontier.
+        self._entries: list[TagEntry] = []
         #: Map from (source_row, source_segment) to slot for O(1) lookup.
         self._lookup: dict[tuple[int, int], int] = {}
         #: Monotonic counter for recency bookkeeping.
         self._touch_counter = 0
-        #: Min-heap of candidate free slots: seeded with every slot (a
-        #: sorted range is a valid heap) and re-fed by :meth:`evict`.
+        #: Min-heap of candidate free slots below the frontier, fed by
+        #: :meth:`evict` (and by :meth:`_grow` for slots created empty).
         #: Entries that have since been filled are pruned lazily, so
         #: :meth:`first_free_slot` is O(log slots) amortised instead of the
         #: full-store scan :meth:`free_slots` performs.
-        self._free_heap: list[int] = list(range(len(self._entries)))
+        self._free_heap: list[int] = []
 
     # ------------------------------------------------------------------
     # Geometry.
@@ -72,7 +83,7 @@ class FigTagStore:
     @property
     def num_slots(self) -> int:
         """Total number of segment slots in this bank's cache."""
-        return len(self._entries)
+        return self._num_slots
 
     @property
     def num_cache_rows(self) -> int:
@@ -106,11 +117,17 @@ class FigTagStore:
     # Lookup and updates.
     # ------------------------------------------------------------------
     def entry(self, slot: int) -> TagEntry:
-        """Return the entry for ``slot``."""
+        """Return the entry for ``slot`` (0 <= slot < :attr:`num_slots`)."""
+        if not 0 <= slot < self._num_slots:
+            raise IndexError(
+                f"slot {slot} is outside [0, {self._num_slots})")
+        if slot >= len(self._entries):
+            self._grow(slot)
         return self._entries[slot]
 
     def entries(self) -> list[TagEntry]:
-        """All entries (valid and invalid)."""
+        """All ``num_slots`` entries (valid and invalid), indexed by slot."""
+        self._grow(self._num_slots - 1)
         return list(self._entries)
 
     def valid_entries(self) -> list[TagEntry]:
@@ -137,15 +154,16 @@ class FigTagStore:
 
     def free_slots(self) -> list[int]:
         """Slots not currently holding a valid segment."""
-        return [entry.slot for entry in self._entries if not entry.valid]
+        return [entry.slot for entry in self._entries if not entry.valid] \
+            + list(range(len(self._entries), self._num_slots))
 
     def first_free_slot(self) -> int | None:
         """Lowest-index slot not holding a valid segment, or None when full.
 
-        Equivalent to ``free_slots()[0]`` (every invalid slot is always a
-        heap candidate: all slots are seeded at construction and
-        :meth:`evict` re-adds the slot it frees) but served from the lazy
-        free-slot heap instead of scanning every entry.
+        Equivalent to ``free_slots()[0]``: every invalid slot below the
+        frontier is a heap candidate (:meth:`evict` and :meth:`_grow` add
+        the slots they leave empty), so the lowest one is the lowest free
+        slot when the heap holds one, and the frontier otherwise.
         """
         heap = self._free_heap
         entries = self._entries
@@ -155,17 +173,33 @@ class FigTagStore:
                 heappop(heap)
                 continue
             return slot
-        return None
+        frontier = len(entries)
+        return frontier if frontier < self._num_slots else None
+
+    def _grow(self, slot: int) -> None:
+        """Create the empty entries of every never-used slot up to ``slot``."""
+        entries = self._entries
+        for new in range(len(entries), slot + 1):
+            entries.append(TagEntry(slot=new))
+            heappush(self._free_heap, new)
 
     def insert(self, slot: int, source_row: int, source_segment: int,
                dirty: bool = False) -> TagEntry:
         """Fill ``slot`` with a newly cached segment."""
-        entry = self._entries[slot]
-        if entry.valid:
-            raise ValueError(f"slot {slot} is still valid; evict it first")
         if (source_row, source_segment) in self._lookup:
             raise ValueError(
                 f"segment ({source_row}, {source_segment}) is already cached")
+        entries = self._entries
+        if slot == len(entries):
+            # The never-used frontier, where slots are handed out while no
+            # evicted slot is free: its entry is created for this fill.
+            entry = TagEntry(slot)
+            entries.append(entry)
+        else:
+            entry = self.entry(slot)
+            if entry.valid:
+                raise ValueError(
+                    f"slot {slot} is still valid; evict it first")
         entry.source_row = source_row
         entry.source_segment = source_segment
         entry.valid = True
@@ -178,9 +212,10 @@ class FigTagStore:
 
     def evict(self, slot: int) -> TagEntry:
         """Invalidate ``slot`` and return a snapshot of the evicted entry."""
-        entry = self._entries[slot]
-        if not entry.valid:
+        entries = self._entries
+        if not 0 <= slot < len(entries) or not entries[slot].valid:
             raise ValueError(f"slot {slot} is not valid")
+        entry = entries[slot]
         snapshot = TagEntry(slot=entry.slot, source_row=entry.source_row,
                             source_segment=entry.source_segment, valid=True,
                             dirty=entry.dirty, benefit=entry.benefit,
@@ -196,13 +231,15 @@ class FigTagStore:
 
     def occupancy(self) -> float:
         """Fraction of slots holding valid segments."""
-        return len(self._lookup) / self.num_slots
+        return len(self._lookup) / self._num_slots
 
     def row_benefit(self, cache_row: int) -> int:
         """Cumulative benefit of all valid segments in one cache row."""
-        return sum(self._entries[slot].benefit
-                   for slot in self.slots_of_cache_row(cache_row)
-                   if self._entries[slot].valid)
+        first = cache_row * self._segments_per_row
+        return sum(entry.benefit
+                   for entry in self._entries[first:first
+                                              + self._segments_per_row]
+                   if entry.valid)
 
     def storage_bits_per_entry(self, rows_per_bank: int,
                                segments_per_source_row: int) -> int:

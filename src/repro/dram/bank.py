@@ -74,12 +74,14 @@ class Bank:
                  '_next_pre_allowed', '_busy_until')
 
     def __init__(self, config: DRAMConfig, rank: Rank, bank_key: tuple,
-                 counters: CommandCounters):
+                 counters: CommandCounters, slow: TimingSet,
+                 fast: TimingSet):
         self._rank = rank
         self._key = bank_key
         self._counters = counters
-        self._slow = config.slow_timing_set()
-        self._fast = config.fast_timing_set()
+        #: The configuration's timing sets, built once per channel.
+        self._slow = slow
+        self._fast = fast
         #: Fast-region predicate hoisted out of the per-access path: a row
         #: is fast when every subarray is fast or when it lies at or above
         #: the regular-row boundary (fast subarrays are appended after all

@@ -27,6 +27,7 @@ class Channel:
         self.counters = CommandCounters(
             track_row_activations=track_row_activations)
         slow = config.slow_timing_set()
+        fast = config.fast_timing_set()
         self._ranks = [Rank(slow, refresh_enabled=refresh_enabled,
                             refresh_mode=config.refresh_mode,
                             num_banks=config.banks_per_rank,
@@ -39,7 +40,8 @@ class Channel:
             for bankgroup in range(config.bankgroups_per_rank):
                 for bank in range(config.banks_per_bankgroup):
                     key = (channel_id, rank_id, bankgroup, bank)
-                    self._banks.append(Bank(config, rank, key, self.counters))
+                    self._banks.append(Bank(config, rank, key,
+                                            self.counters, slow, fast))
                     self._rank_of.append(rank)
         #: RELOC latency in cycles; the fast timing set scales only tRCD,
         #: tRP and tRAS, so one value serves every row.

@@ -119,9 +119,10 @@ def _mix_categories(suite) -> dict[str, list[str]]:
             for fraction in sorted({w.intensive_fraction for w in suite})}
 
 
-def _one_and_eight_core(scale: ExperimentScale) -> tuple[dict, list]:
+def _one_and_multi_core(scale: ExperimentScale) -> tuple[dict, list]:
     """Figures 9–11's categories: the single-core classes, then the mixes.
 
+    The mix categories carry the scale's core count (8 at paper scale).
     Returns the categories and every workload they name, for
     :func:`run_points`.
     """
@@ -129,7 +130,8 @@ def _one_and_eight_core(scale: ExperimentScale) -> tuple[dict, list]:
     suite = multicore_suite(scale)
     categories = {f"1-core {category}": group
                   for category, group in classes.items()}
-    categories.update({f"8-core {category}": names for category, names
+    categories.update({f"{scale.num_cores}-core {category}": names
+                       for category, names
                        in _mix_categories(suite).items()})
     benchmarks = [b for group in classes.values() for b in group]
     return categories, benchmarks + suite
@@ -194,7 +196,7 @@ def figure8_multicore(scale: ExperimentScale | None = None,
 def figure9_cache_hit_rate(scale: ExperimentScale | None = None) -> dict:
     """Figure 9: in-DRAM cache hit rate of the caching mechanisms."""
     scale = scale or ExperimentScale()
-    categories, workloads = _one_and_eight_core(scale)
+    categories, workloads = _one_and_multi_core(scale)
     results = run_points(_points(_CACHE_CONFIGURATIONS), workloads, scale)
     return {
         "figure": "Figure 9",
@@ -210,7 +212,7 @@ def figure10_row_buffer_hit_rate(scale: ExperimentScale | None = None) -> dict:
     """Figure 10: DRAM row-buffer hit rate of the caching mechanisms."""
     scale = scale or ExperimentScale()
     configurations = ("Base",) + _CACHE_CONFIGURATIONS
-    categories, workloads = _one_and_eight_core(scale)
+    categories, workloads = _one_and_multi_core(scale)
     results = run_points(_points(configurations), workloads, scale)
     return {
         "figure": "Figure 10",
@@ -226,7 +228,7 @@ def figure11_energy(scale: ExperimentScale | None = None) -> dict:
     """Figure 11: system energy breakdown normalised to Base."""
     scale = scale or ExperimentScale()
     configurations = ("Base", "FIGCache-Slow", "FIGCache-Fast")
-    categories, workloads = _one_and_eight_core(scale)
+    categories, workloads = _one_and_multi_core(scale)
     results = run_points(_points(configurations), workloads, scale)
 
     def energy(label, names):

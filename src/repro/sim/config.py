@@ -119,7 +119,10 @@ def make_system_config(name: str, channels: int = 1,
     bit-identical to the historical defaults.  ``telemetry=True`` attaches
     a :class:`~repro.sim.telemetry.TelemetryConfig` sampling every
     ``telemetry_epoch_cycles`` cycles; telemetry never changes simulated
-    results, only what the result reports.
+    results, only what the result reports.  A cache configuration that
+    does not fit the DRAM organization (for example a segment size that
+    does not divide the row) raises ``ValueError`` here, so a job's key
+    already rejects it, before any worker runs.
     """
     if name not in CONFIGURATION_NAMES:
         raise ValueError(f"unknown configuration {name!r}; choose one of "
@@ -140,6 +143,7 @@ def make_system_config(name: str, channels: int = 1,
             dram,
             fast_subarrays_per_bank=lisa_config.fast_subarrays_per_bank,
             rows_per_fast_subarray=32)
+        lisa_config.validate(dram)
     elif name.startswith("FIGCache-"):
         placement = name.removeprefix("FIGCache-").lower()
         if placement != "slow":
@@ -156,6 +160,7 @@ def make_system_config(name: str, channels: int = 1,
             placement=placement,
             replacement_policy=replacement_policy,
             insertion_threshold=insertion_threshold)
+        figcache_config.validate(dram)
 
     telemetry_config = TelemetryConfig(epoch_cycles=telemetry_epoch_cycles) \
         if telemetry else None

@@ -9,6 +9,7 @@ subcommands are exercised end to end elsewhere (``test_engine.py`` and
 import pytest
 
 from repro import cli
+from repro.experiments import engine
 from repro.experiments.engine import (ExperimentScale, JobExecutor,
                                       ResultCache)
 from repro.experiments.engine.spec import SimJob
@@ -145,6 +146,36 @@ class TestOutputSmoke:
         assert "timeline: lbm on Base" in out
         assert "read latency (cycles):" in out
         assert "p99" in out
+
+
+class TestInvalidSweepPoint:
+    """A cache configuration that does not fit the DRAM is a usage error.
+
+    Building a job's key builds and validates its configuration, so the
+    batch fails in the parent before any job is dispatched or retried.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fresh_default_engine(self):
+        engine.reset()
+        yield
+        engine.reset()
+
+    @pytest.mark.parametrize("extra", ([], ["--keep-going"]),
+                             ids=("fail-fast", "keep-going"))
+    def test_indivisible_segment_size_exits_2_without_retry(self, extra,
+                                                            capsys):
+        argv = ["sweep", "--segment-blocks", "16,24", "--cache-rows", "32",
+                "--scale", "tiny", "--cache-dir", "none", *extra]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: segment_blocks (24) must divide the blocks per row "
+            "(128)"]
+        executor = engine.get_executor()
+        assert executor.simulations_executed == 0
+        assert executor.last_report is None  # no batch was started
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.core.replacement import (LRUReplacement, RandomReplacement,
                                     SegmentBenefitReplacement,
                                     available_replacement_policies)
 from repro.dram import Channel, DRAMConfig
+from repro.sim.config import make_system_config
 
 
 def make_channel(fast_subarrays=2, channels=1):
@@ -203,6 +204,14 @@ class TestFIGCacheMechanism:
             FIGCacheConfig(segment_blocks=10).validate(dram)
         with pytest.raises(ValueError):
             FIGCacheConfig(cache_rows_per_bank=65).validate(dram)
+
+    def test_system_config_validates_its_cache_config(self):
+        # 24 blocks do not divide a 128-block row: rejected when the
+        # configuration is built, not when a worker builds the system.
+        with pytest.raises(ValueError, match="segment_blocks"):
+            make_system_config("FIGCache-Fast", segment_blocks=24)
+        with pytest.raises(ValueError, match="subarray"):
+            make_system_config("FIGCache-Slow", cache_rows_per_bank=4096)
 
     def test_miss_then_hit_sequence(self):
         config, channel = make_channel()

@@ -196,7 +196,8 @@ def make_bank(fast_subarrays=2, all_fast=False):
                         all_subarrays_fast=all_fast)
     counters = CommandCounters()
     rank = Rank(config.slow_timing_set(), refresh_enabled=False)
-    bank = Bank(config, rank, (0, 0, 0, 0), counters)
+    bank = Bank(config, rank, (0, 0, 0, 0), counters,
+                config.slow_timing_set(), config.fast_timing_set())
     return bank, counters, config
 
 
@@ -454,7 +455,7 @@ def activate_banks_of_one_rank(count):
     counters = CommandCounters()
     banks = [Bank(config, rank,
                   (0, 0, *divmod(index, config.banks_per_bankgroup)),
-                  counters)
+                  counters, rank.timing, config.fast_timing_set())
              for index in range(count)]
     for bank in banks:
         bank.access(0, 7, False, 0)

@@ -3,8 +3,10 @@
 Covers the golden-equivalence guarantee (the per-bank indexed scheduler,
 heap-based wake-ups, and slotted hot objects must not change any simulated
 result), the FR-FCFS scheduling invariants on the new per-bank queues, the
-simulator's safety-limit reporting, and the lazily-invalidated helper
-structures (wake-up heap, tag-store free-slot heap).
+simulator's safety-limit reporting, the lazily-invalidated helper
+structures (wake-up heap, tag-store free-slot heap), and the tag store's
+entries built on first use, which keep a system's build cost independent
+of its in-DRAM cache capacity.
 
 The golden fixture ``tests/golden/scheduler_equivalence.json`` was captured
 by running the listed workloads at smoke scale on the pre-PR-2 revision
@@ -13,9 +15,12 @@ current code must reproduce it bit for bit.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import BaseMechanism
 from repro.controller import (ChannelController, FRFCFSScheduler,
@@ -26,7 +31,7 @@ from repro.cpu import TraceCore
 from repro.experiments.engine import ExperimentScale
 from repro.sim.config import make_system_config
 from repro.sim.simulator import Simulator, SimulatorLimits
-from repro.sim.system import run_workload
+from repro.sim.system import System, run_workload
 from repro.workloads.catalog import get_benchmark
 from repro.workloads.multiprogram import make_workload_suite
 from repro.workloads.trace import TraceRecord
@@ -273,7 +278,74 @@ class TestWakeupHeap:
         assert not cc.has_pending_work()
 
 
+_TAG_STORE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 7), st.integers(0, 3)),
+    st.tuples(st.just("evict"), st.integers(0, 63)),
+    st.tuples(st.just("entry"), st.integers(0, 63)),
+    st.tuples(st.just("entries"))), max_size=80)
+
+
 class TestTagStoreFreeHeap:
+    """The tag store creates a slot's entry on first use: slots come from
+    the lazy free-slot heap (evicted slots) or the never-used frontier,
+    and every accessor answers as if all entries had been built."""
+
+    @given(rows=st.integers(1, 4), segments=st.integers(1, 4),
+           ops=_TAG_STORE_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eager_reference_model(self, rows, segments, ops):
+        tags = FigTagStore(num_cache_rows=rows, segments_per_row=segments)
+        #: Every slot's state, built eagerly: its (row, segment) tag, or
+        #: None while the slot is free.
+        model = [None] * (rows * segments)
+        for op, *args in ops:
+            free = [slot for slot, tag in enumerate(model) if tag is None]
+            if op == "insert":
+                slot = tags.first_free_slot()
+                assert slot == (free[0] if free else None)
+                if slot is not None and tuple(args) not in model:
+                    tags.insert(slot, *args)
+                    model[slot] = tuple(args)
+            elif op == "evict":
+                valid = [slot for slot, tag in enumerate(model)
+                         if tag is not None]
+                if valid:
+                    slot = valid[args[0] % len(valid)]
+                    assert tags.evict(slot).tag == model[slot]
+                    model[slot] = None
+            elif op == "entry":
+                slot = args[0] % len(model)
+                entry = tags.entry(slot)
+                assert entry.slot == slot
+                assert entry.valid == (model[slot] is not None)
+                if entry.valid:
+                    assert entry.tag == model[slot]
+            else:
+                assert [(entry.slot, entry.valid)
+                        for entry in tags.entries()] \
+                    == [(slot, tag is not None)
+                        for slot, tag in enumerate(model)]
+            free = [slot for slot, tag in enumerate(model) if tag is None]
+            assert tags.num_slots == len(model)
+            assert tags.first_free_slot() == (free[0] if free else None)
+            assert tags.free_slots() == free
+            assert [entry.slot for entry in tags.valid_entries()] \
+                == [slot for slot, tag in enumerate(model)
+                    if tag is not None]
+            assert tags.occupancy() == (len(model) - len(free)) / len(model)
+            # Every insertion starts at benefit 1 and nothing is touched.
+            assert [tags.row_benefit(row) for row in range(rows)] \
+                == [sum(tag is not None
+                        for tag in model[row * segments:(row + 1) * segments])
+                    for row in range(rows)]
+
+    def test_entry_rejects_slots_out_of_range(self):
+        tags = FigTagStore(num_cache_rows=2, segments_per_row=4)
+        for slot in (-1, tags.num_slots):
+            with pytest.raises(IndexError):
+                tags.entry(slot)
+        assert tags.entry(tags.num_slots - 1).slot == tags.num_slots - 1
+
     def test_first_free_slot_matches_full_scan(self):
         tags = FigTagStore(num_cache_rows=2, segments_per_row=4)
         assert tags.first_free_slot() == tags.free_slots()[0] == 0
@@ -286,3 +358,26 @@ class TestTagStoreFreeHeap:
         assert tags.first_free_slot() == tags.free_slots()[0] == 2
         tags.insert(2, source_row=100, source_segment=1)
         assert tags.first_free_slot() == tags.free_slots()[0] == 5
+
+
+class TestBuildFootprint:
+    def test_in_dram_cache_state_is_not_built_per_slot(self):
+        """Building a system allocates no per-slot cache state up front.
+
+        Figure 12's largest point (16 fast subarrays, 512 cache rows per
+        bank, 4 channels) has 262,144 FIGCache slots; building a
+        ``TagEntry`` for each took about 45 MB.
+        """
+        config = make_system_config("FIGCache-Fast", channels=4,
+                                    fast_subarrays=16,
+                                    cache_rows_per_bank=512)
+        traces = [get_benchmark("lbm").make_trace(100)]
+        System(config, traces)  # first build fills import-time caches
+        tracemalloc.start()
+        try:
+            system = System(config, traces)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.mechanisms[0].tag_store(0).num_slots == 512 * 8
+        assert allocated < 2_000_000
