@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.mechanism import CachingMechanism, ServiceResult
+from repro.core.mechanism import CachingMechanism
 from repro.dram.address import DecodedAddress
 from repro.dram.channel import Channel
 
@@ -28,11 +28,12 @@ class BaseMechanism(CachingMechanism):
         return decoded.row
 
     def service(self, channel: Channel, now: int, decoded: DecodedAddress,
-                flat_bank: int, is_write: bool) -> ServiceResult:
-        access = channel.access(now, flat_bank, decoded.row, is_write)
-        # ``bank_ready_cycle`` equals the bank's post-access
-        # ``ready_for_next`` (a column access always pushes the column
-        # timer past the busy window), so the bank need not be re-read.
-        return ServiceResult(access.completion_cycle,
-                             access.bank_ready_cycle, access.outcome, None,
-                             access.served_fast, 0)
+                flat_bank: int, is_write: bool
+                ) -> tuple[int, int, str, bool | None, bool]:
+        completion_cycle, bank_ready_cycle, outcome, served_fast = \
+            channel.access(now, flat_bank, decoded.row, is_write)
+        # The access's ``bank_ready_cycle`` is the bank's post-access
+        # ``ready_for_next`` (``Bank.access`` stores and returns the same
+        # value; tests/test_dram.py checks it), so the bank need not be
+        # re-read.
+        return completion_cycle, bank_ready_cycle, outcome, None, served_fast

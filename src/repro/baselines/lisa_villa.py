@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.mechanism import CachingMechanism, ServiceResult
+from repro.core.mechanism import CachingMechanism
 from repro.dram.address import DecodedAddress
 from repro.dram.channel import Channel
 from repro.dram.config import DRAMConfig
@@ -159,7 +159,8 @@ class LISAVillaMechanism(CachingMechanism):
         return self._fast_row_base + entry.cache_slot
 
     def service(self, channel: Channel, now: int, decoded: DecodedAddress,
-                flat_bank: int, is_write: bool) -> ServiceResult:
+                flat_bank: int, is_write: bool
+                ) -> tuple[int, int, str, bool | None, bool]:
         state = self._banks.get(flat_bank)
         if state is None:
             state = self._bank_state(flat_bank)
@@ -177,29 +178,27 @@ class LISAVillaMechanism(CachingMechanism):
                 entry.dirty = True
             cache_row = row if serve_from_source \
                 else self._fast_row_base + entry.cache_slot
-            access = channel.access(now, flat_bank, cache_row, is_write)
-            # No relocation on a hit, so the access result already carries
-            # the bank's post-access readiness.
-            return ServiceResult(access.completion_cycle,
-                                 access.bank_ready_cycle, access.outcome,
-                                 True, access.served_fast, 0)
+            completion_cycle, bank_ready_cycle, outcome, served_fast = \
+                channel.access(now, flat_bank, cache_row, is_write)
+            # No relocation on a hit, so the access already reports the
+            # bank's post-access readiness.
+            return completion_cycle, bank_ready_cycle, outcome, True, \
+                served_fast
 
-        access = channel.access(now, flat_bank, row, is_write)
-        relocation_cycles = self._insert_row(channel, access.completion_cycle,
-                                             flat_bank, state, row,
-                                             dirty=is_write)
+        completion_cycle, _, outcome, served_fast = \
+            channel.access(now, flat_bank, row, is_write)
+        self._insert_row(channel, completion_cycle, flat_bank, state, row,
+                         dirty=is_write)
         # The insertion relocation occupies the bank after the access.
-        return ServiceResult(access.completion_cycle,
-                             channel.bank(flat_bank).ready_for_next,
-                             access.outcome, False, access.served_fast,
-                             relocation_cycles)
+        return completion_cycle, channel.bank(flat_bank).ready_for_next, \
+            outcome, False, served_fast
 
     # ------------------------------------------------------------------
     # Cache management.
     # ------------------------------------------------------------------
     def _insert_row(self, channel: Channel, now: int, flat_bank: int,
-                    state: _BankState, source_row: int, dirty: bool) -> int:
-        """Relocate a full row into the cache; returns relocation cycles."""
+                    state: _BankState, source_row: int, dirty: bool) -> None:
+        """Relocate a full row into the cache."""
         relocation_cycles = 0
         current = now
 
@@ -212,10 +211,10 @@ class LISAVillaMechanism(CachingMechanism):
             relocation_cycles += writeback_cycles
 
         transfer = self.relocation_transfer_cycles(source_row)
-        outcome = channel.bulk_relocate(current, flat_bank, source_row,
-                                        self._dram.fast_region_row(slot),
-                                        transfer, keep_source_open=True)
-        relocation_cycles += outcome.completion_cycle - outcome.start_cycle
+        start_cycle, completion_cycle, _ = channel.bulk_relocate(
+            current, flat_bank, source_row, self._dram.fast_region_row(slot),
+            transfer, keep_source_open=True)
+        relocation_cycles += completion_cycle - start_cycle
         self.stats.relocation_operations += 1
         self.stats.relocation_cycles += relocation_cycles
         self.stats.insertions += 1
@@ -225,13 +224,12 @@ class LISAVillaMechanism(CachingMechanism):
                                               dirty=dirty, benefit=1)
         if self.tracer is not None:
             self.tracer.mechanism_event(
-                outcome.completion_cycle, channel.channel_id, flat_bank,
+                completion_cycle, channel.channel_id, flat_bank,
                 "villa-insert",
                 {"source_row": source_row, "slot": slot, "dirty": dirty,
                  "hops": transfer // self._hop_cycles
                          if self._hop_cycles else 0,
                  "relocation_cycles": relocation_cycles})
-        return relocation_cycles
 
     def _evict_row(self, channel: Channel, now: int, flat_bank: int,
                    state: _BankState) -> tuple[int, int, int]:
@@ -257,11 +255,11 @@ class LISAVillaMechanism(CachingMechanism):
         current = now
         if victim_row.dirty:
             transfer = self.relocation_transfer_cycles(victim_row.source_row)
-            outcome = channel.bulk_relocate(
+            start_cycle, completion_cycle, _ = channel.bulk_relocate(
                 current, flat_bank, self._dram.fast_region_row(slot),
                 victim_row.source_row, transfer)
-            writeback_cycles = outcome.completion_cycle - outcome.start_cycle
-            current = outcome.completion_cycle
+            writeback_cycles = completion_cycle - start_cycle
+            current = completion_cycle
             self.stats.relocation_operations += 1
             self.stats.dirty_writebacks += 1
         if self.tracer is not None:

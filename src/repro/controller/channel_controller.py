@@ -52,16 +52,19 @@ _NO_REQUESTS: tuple = ()
 class ChannelController:
     """Request queues and scheduling for one memory channel."""
 
-    __slots__ = ('_channel', '_mechanism', '_scheduler', '_reads_by_bank',
-                 '_writes_by_bank', '_read_count', '_write_count',
-                 '_drain_mode', '_wakeup_cycle', '_wakeup_heap',
-                 '_drain_high', '_drain_low', '_row_of', '_direct_access',
+    __slots__ = ('_channel', '_banks', '_mechanism', '_scheduler',
+                 '_reads_by_bank', '_writes_by_bank', '_read_count',
+                 '_write_count', '_drain_mode', '_wakeup_cycle',
+                 '_wakeup_heap', '_drain_high', '_drain_low', '_row_of', '_direct_access',
                  'completed_reads', 'completed_writes',
                  'read_latencies', 'write_latencies', 'tracer')
 
     def __init__(self, channel: Channel, mechanism: CachingMechanism,
                  scheduler_config: SchedulerConfig | None = None):
         self._channel = channel
+        #: The channel's banks, indexed by flat bank (the hot paths read
+        #: each bank's ``ready_for_next`` through this list).
+        self._banks = channel.banks()
         self._mechanism = mechanism
         self._scheduler = FRFCFSScheduler(scheduler_config)
         #: Per-bank pending requests in FCFS (request_id) order.
@@ -85,8 +88,19 @@ class ChannelController:
         self._drain_low = config.write_drain_low_watermark
         #: Row-remap hook handed to the scheduler: None when the mechanism
         #: never redirects requests, so FR-FCFS reads the address row
-        #: directly (see ``CachingMechanism.remaps_rows``).
-        self._row_of = self._effective_row if mechanism.remaps_rows else None
+        #: directly (see ``CachingMechanism.remaps_rows``).  A closure over
+        #: the mechanism and the channel, never over the controller, so a
+        #: finished system holds no reference cycle and is freed by
+        #: reference counting alone (simulation runs suspend the cycle
+        #: collector).
+        self._row_of = None
+        if mechanism.remaps_rows:
+            effective_row = mechanism.effective_row
+
+            def row_of(request: MemoryRequest) -> int:
+                return effective_row(channel, request.decoded,
+                                     request.flat_bank)
+            self._row_of = row_of
         #: Direct-access mechanisms (no in-DRAM cache) are served straight
         #: through Channel.access (see CachingMechanism.direct_access).
         self._direct_access = mechanism.direct_access
@@ -185,7 +199,7 @@ class ChannelController:
             # work, so no wake-up entry can exist for it.
             if flat_bank not in index \
                     and flat_bank not in self._writes_by_bank \
-                    and self._channel.bank(flat_bank).ready_for_next <= now:
+                    and self._banks[flat_bank].ready_for_next <= now:
                 self._service(request, now)
                 return [request]
             self._read_count += 1
@@ -204,7 +218,7 @@ class ChannelController:
         # Busy bank: record the wake-up and return without entering the
         # scheduling loop (arrivals burst while a bank serves, so this is
         # the common slow-path outcome).
-        ready_at = self._channel.bank(flat_bank).ready_for_next
+        ready_at = self._banks[flat_bank].ready_for_next
         if ready_at > now:
             self._note_wakeup(flat_bank, ready_at)
             return []
@@ -266,14 +280,13 @@ class ChannelController:
                            force_writes: bool = False) -> list[MemoryRequest]:
         """Issue as many requests as the bank allows starting at ``now``."""
         completed: list[MemoryRequest] = []
-        bank = self._channel.bank(flat_bank)
+        bank = self._banks[flat_bank]
         reads_by_bank = self._reads_by_bank
         writes_by_bank = self._writes_by_bank
         pick = self._scheduler.pick
         row_of = self._row_of
-        # Every mechanism reports the bank's post-service readiness in
-        # ``ServiceResult.bank_busy_until``, so only the first iteration
-        # reads the bank's ``ready_for_next``.
+        # Every service reports the bank's post-service readiness, so only
+        # the first iteration reads the bank's ``ready_for_next``.
         ready_at = bank.ready_for_next
         while True:
             if ready_at > now:
@@ -311,41 +324,28 @@ class ChannelController:
             completed.append(request)
         return completed
 
-    def _effective_row(self, request: MemoryRequest) -> int:
-        return self._mechanism.effective_row(self._channel, request.decoded,
-                                             request.flat_bank)
-
     def _service(self, request: MemoryRequest, now: int) -> int:
         """Service one picked request; returns the bank's next ready cycle.
 
         The one service path: the scheduling loop and the enqueue fast path
         both call it.  For direct-access mechanisms (no in-DRAM cache) the
-        service is exactly one column access, so the mechanism dispatch and
-        the ServiceResult wrapper are skipped.
+        service is exactly one column access, so the mechanism dispatch is
+        skipped.
         """
         if self._direct_access:
-            access = self._channel.access(now, request.flat_bank,
-                                          request.decoded.row,
-                                          request.is_write)
-            completion_cycle = access.completion_cycle
-            request.issue_cycle = now
-            request.completion_cycle = completion_cycle
-            request.in_dram_cache_hit = None
-            request.row_buffer_outcome = access.outcome
-            request.served_fast = access.served_fast
-            ready_at = access.bank_ready_cycle
+            completion_cycle, ready_at, outcome, served_fast = \
+                self._channel.access(now, request.flat_bank,
+                                     request.decoded.row, request.is_write)
+            cache_hit = None
         else:
-            result = self._mechanism.service(self._channel, now,
-                                             request.decoded,
-                                             request.flat_bank,
-                                             request.is_write)
-            completion_cycle = result.completion_cycle
-            request.issue_cycle = now
-            request.completion_cycle = completion_cycle
-            request.in_dram_cache_hit = result.in_dram_cache_hit
-            request.row_buffer_outcome = result.row_buffer_outcome
-            request.served_fast = result.served_fast
-            ready_at = result.bank_busy_until
+            completion_cycle, ready_at, outcome, cache_hit, served_fast = \
+                self._mechanism.service(self._channel, now, request.decoded,
+                                        request.flat_bank, request.is_write)
+        request.issue_cycle = now
+        request.completion_cycle = completion_cycle
+        request.in_dram_cache_hit = cache_hit
+        request.row_buffer_outcome = outcome
+        request.served_fast = served_fast
         latency = completion_cycle - request.arrival_cycle
         if request.is_write:
             self.completed_writes += 1

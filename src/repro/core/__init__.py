@@ -21,8 +21,7 @@ controller side:
 from repro.core.figcache import FIGCache, FIGCacheConfig
 from repro.core.insertion import (InsertAnyMissPolicy, InsertionPolicy,
                                   MissCountThresholdPolicy)
-from repro.core.mechanism import (CachingMechanism, MechanismStats,
-                                  ServiceResult)
+from repro.core.mechanism import CachingMechanism, MechanismStats
 from repro.core.replacement import (LRUReplacement, RandomReplacement,
                                     ReplacementPolicy, RowBenefitReplacement,
                                     SegmentBenefitReplacement,
@@ -43,7 +42,6 @@ __all__ = [
     "ReplacementPolicy",
     "RowBenefitReplacement",
     "SegmentBenefitReplacement",
-    "ServiceResult",
     "TagEntry",
     "make_replacement_policy",
 ]

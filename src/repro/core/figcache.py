@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.insertion import InsertionPolicy, make_insertion_policy
-from repro.core.mechanism import CachingMechanism, ServiceResult
+from repro.core.mechanism import CachingMechanism
 from repro.core.replacement import ReplacementPolicy, make_replacement_policy
 from repro.core.tag_store import FigTagStore
 from repro.dram.address import DecodedAddress
@@ -175,8 +175,12 @@ class FIGCache(CachingMechanism):
         return self._cache_row_ids[slot // tags._segments_per_row]
 
     def service(self, channel: Channel, now: int, decoded: DecodedAddress,
-                flat_bank: int, is_write: bool) -> ServiceResult:
-        """Serve one request: hit and miss paths fused for the hot loop."""
+                flat_bank: int, is_write: bool
+                ) -> tuple[int, int, str, bool | None, bool]:
+        """Serve one request: hit and miss paths fused for the hot loop.
+
+        Returns :meth:`CachingMechanism.service`'s tuple.
+        """
         bank_cache = self._banks.get(flat_bank)
         if bank_cache is None:
             bank_cache = self._bank_cache(flat_bank)
@@ -214,37 +218,32 @@ class FIGCache(CachingMechanism):
                 target_row = self._cache_row_ids[
                     slot // tags._segments_per_row]
 
-            access = channel.access(now, flat_bank, target_row, is_write)
-            # No relocation on a hit: the access result already carries the
-            # bank's post-access readiness.
-            return ServiceResult(access.completion_cycle,
-                                 access.bank_ready_cycle, access.outcome,
-                                 True, access.served_fast, 0)
+            completion_cycle, bank_ready_cycle, outcome, served_fast = \
+                channel.access(now, flat_bank, target_row, is_write)
+            # No relocation on a hit: the access already reports the bank's
+            # post-access readiness.
+            return completion_cycle, bank_ready_cycle, outcome, True, \
+                served_fast
 
         # --- Miss path ----------------------------------------------------
-        access = channel.access(now, flat_bank, row, is_write)
-        relocation_cycles = 0
+        completion_cycle, bank_ready_cycle, outcome, served_fast = \
+            channel.access(now, flat_bank, row, is_write)
 
         insertion = bank_cache.insertion
         if (self._excluded_subarray < 0 or self._may_cache(row)) \
                 and (insertion.always_inserts
                      or insertion.should_insert(row, segment)):
-            relocation_cycles = self._insert_segment(
-                channel, access.completion_cycle, flat_bank, bank_cache,
-                row, segment, dirty=is_write)
+            self._insert_segment(channel, completion_cycle, flat_bank,
+                                 bank_cache, row, segment, dirty=is_write)
             # Relocation work may have pushed the bank's busy window past
             # the access, so re-read its readiness.
-            bank_busy_until = channel.bank(flat_bank).ready_for_next
-        else:
-            bank_busy_until = access.bank_ready_cycle
-        return ServiceResult(access.completion_cycle, bank_busy_until,
-                             access.outcome, False, access.served_fast,
-                             relocation_cycles)
+            bank_ready_cycle = channel.bank(flat_bank).ready_for_next
+        return completion_cycle, bank_ready_cycle, outcome, False, served_fast
 
     def _insert_segment(self, channel: Channel, now: int, flat_bank: int,
                         bank_cache: _BankCache, source_row: int,
-                        segment: int, dirty: bool) -> int:
-        """Relocate the missed segment into the cache; returns cycles spent."""
+                        segment: int, dirty: bool) -> None:
+        """Relocate the missed segment into the cache."""
         tags = bank_cache.tags
         stats = self.stats
         relocation_cycles = 0
@@ -258,12 +257,12 @@ class FIGCache(CachingMechanism):
 
         if not self._ideal_placement:
             cache_row = self._cache_row_ids[slot // tags._segments_per_row]
-            result = channel.relocate(current, flat_bank, source_row,
-                                      cache_row, self._segment_blocks,
-                                      keep_source_open=True)
-            relocation_cycles += result.completion_cycle - result.start_cycle
-            stats.relocation_operations += result.reloc_commands
-            current = result.completion_cycle
+            start_cycle, completion_cycle, reloc_commands = channel.relocate(
+                current, flat_bank, source_row, cache_row,
+                self._segment_blocks, keep_source_open=True)
+            relocation_cycles += completion_cycle - start_cycle
+            stats.relocation_operations += reloc_commands
+            current = completion_cycle
 
         tags.insert(slot, source_row, segment, dirty=dirty)
         bank_cache.replacement.notify_insertion(slot)
@@ -276,7 +275,6 @@ class FIGCache(CachingMechanism):
                 {"source_row": source_row, "segment": segment,
                  "slot": slot, "dirty": dirty,
                  "relocation_cycles": relocation_cycles})
-        return relocation_cycles
 
     def _evict_for_space(self, channel: Channel, now: int, flat_bank: int,
                          bank_cache: _BankCache) -> tuple[int, int, int]:
@@ -294,12 +292,12 @@ class FIGCache(CachingMechanism):
         if victim.dirty and not self._ideal_placement:
             cache_row = self._cache_row_ids[
                 victim_slot // tags._segments_per_row]
-            result = channel.relocate(current, flat_bank, cache_row,
-                                      victim.source_row,
-                                      self._segment_blocks)
-            writeback_cycles = result.completion_cycle - result.start_cycle
-            current = result.completion_cycle
-            self.stats.relocation_operations += result.reloc_commands
+            start_cycle, completion_cycle, reloc_commands = channel.relocate(
+                current, flat_bank, cache_row, victim.source_row,
+                self._segment_blocks)
+            writeback_cycles = completion_cycle - start_cycle
+            current = completion_cycle
+            self.stats.relocation_operations += reloc_commands
             self.stats.dirty_writebacks += 1
         elif victim.dirty:
             self.stats.dirty_writebacks += 1

@@ -5,7 +5,9 @@ LL-DRAM) is expressed as a :class:`CachingMechanism`: the memory controller
 asks the mechanism to service each scheduled request, and the mechanism
 decides where the request is actually served (original row or an in-DRAM
 cache row), performs any relocations into or out of the cache, and records
-its own hit/miss statistics.
+its own hit/miss statistics.  The outcome comes back as a plain tuple whose
+format :meth:`CachingMechanism.service` defines: one is built per request,
+and a tuple costs a fraction of a record class's constructor.
 """
 
 from __future__ import annotations
@@ -15,31 +17,6 @@ from dataclasses import dataclass, field
 
 from repro.dram.address import DecodedAddress
 from repro.dram.channel import Channel
-
-
-@dataclass(slots=True)
-class ServiceResult:
-    """Outcome of servicing one request through a caching mechanism.
-
-    A plain slotted record (not frozen): one is created per serviced
-    request, on the scheduling hot path.  Treat as read-only.
-    """
-
-    #: Cycle at which the requested data transfer finished.
-    completion_cycle: int
-    #: Cycle at which the bank can take further work (includes relocations
-    #: triggered by this request, which occupy the bank after the demand
-    #: access completes).
-    bank_busy_until: int
-    #: Row-buffer outcome of the demand access: ``hit``, ``miss``, ``conflict``.
-    row_buffer_outcome: str
-    #: Whether the demand access hit in the in-DRAM cache (None when the
-    #: mechanism has no cache).
-    in_dram_cache_hit: bool | None
-    #: True when the demand access was served from a fast region.
-    served_fast: bool
-    #: Cycles spent on relocation work triggered by this request.
-    relocation_cycles: int = 0
 
 
 @dataclass
@@ -89,9 +66,9 @@ class CachingMechanism(abc.ABC):
     #: row with no cache bookkeeping and no relocations.  Mechanisms that
     #: set this to True (Base/LL-DRAM) let the channel controller serve
     #: requests straight through ``Channel.access``, skipping the
-    #: :meth:`service` call and the :class:`ServiceResult` wrapper on the
-    #: per-request hot path.  Must only be True when :meth:`service` has no
-    #: observable effect beyond the access itself.
+    #: :meth:`service` call on the per-request hot path.  Must only be True
+    #: when :meth:`service` has no observable effect beyond the access
+    #: itself.
     direct_access = False
 
     def __init__(self) -> None:
@@ -112,12 +89,28 @@ class CachingMechanism(abc.ABC):
 
     @abc.abstractmethod
     def service(self, channel: Channel, now: int, decoded: DecodedAddress,
-                flat_bank: int, is_write: bool) -> ServiceResult:
+                flat_bank: int, is_write: bool
+                ) -> tuple[int, int, str, bool | None, bool]:
         """Service one scheduled request at cycle ``now``.
 
         Implementations perform the demand access on ``channel`` (redirected
         to a cache row on a cache hit) and any relocation work the request
-        triggers, and update their statistics.
+        triggers, and update their statistics.  Returns
+        ``(completion_cycle, bank_busy_until, row_buffer_outcome,
+        in_dram_cache_hit, served_fast)``:
+
+        * ``completion_cycle`` — the requested data transfer finished;
+        * ``bank_busy_until`` — the bank can take further work, after any
+          relocations this request triggered (they occupy the bank once
+          the demand access completes);
+        * ``row_buffer_outcome`` — the demand access's ``"hit"``,
+          ``"miss"`` or ``"conflict"``;
+        * ``in_dram_cache_hit`` — the demand access hit in the in-DRAM
+          cache (None when the mechanism has no cache);
+        * ``served_fast`` — the demand access was served from a fast
+          region.
+
+        Relocation cycles are summed in :attr:`stats`, not returned.
         """
 
     def reset_stats(self) -> None:

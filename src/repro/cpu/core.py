@@ -12,15 +12,18 @@ Table 1 front-end constraints:
 
 Cache hits are (mostly) hidden by out-of-order execution; only LLC misses
 interact with the memory system.  The model is event-driven: the simulator
-calls :meth:`TraceCore.run` to let the core issue work until it must stall
-or finishes, and :meth:`TraceCore.notify_completion` when one of its memory
-requests completes.
+calls :meth:`TraceCore.run_requests` to let the core issue work until it
+must stall or finishes (it returns the issued requests as plain
+``(issue_cycle, address, is_write)`` tuples; :attr:`TraceCore.finished`
+tells which of the two stopped it), and :meth:`TraceCore.notify_completion`
+when one of its memory requests completes.
 
 Nothing the memory system does reaches back into the caches, so a trace's
 hierarchy outcome depends only on its records, the issue width and the
 :class:`~repro.cpu.hierarchy.HierarchyConfig`: :func:`compile_trace`
 simulates it once per trace and process, and every core replaying that
-trace shares the result, fetched on the core's first :meth:`TraceCore.run`.
+trace shares the result, fetched on the core's first
+:meth:`TraceCore.run_requests`.
 """
 
 from __future__ import annotations
@@ -106,41 +109,6 @@ def compile_trace(records: tuple[TraceRecord, ...], issue_width: int,
         accesses=caches.accesses, llc_misses=caches.llc_misses)
 
 
-@dataclass(slots=True)
-class _OutstandingMiss:
-    """A load miss the core is still waiting on."""
-
-    address: int
-    #: Instruction count (position in program order) at which it was issued.
-    instruction_position: int
-    #: True when the window cannot retire past this miss (demand loads).
-    blocks_window: bool
-
-
-class IssuedRequest(NamedTuple):
-    """A memory request the core wants to send, with its issue time.
-
-    A named tuple: one is created per memory request on the issue hot
-    path, and the simulator unpacks it positionally.
-    """
-
-    issue_cycle: int
-    address: int
-    is_write: bool
-
-
-@dataclass(slots=True)
-class CoreRunResult:
-    """Outcome of one :meth:`TraceCore.run` call."""
-
-    #: Memory requests issued during this run, in issue order.
-    requests: list[IssuedRequest]
-    #: True when the core has executed its entire trace.
-    finished: bool
-    #: True when the core stopped because it is waiting for a completion.
-    stalled: bool
-
-
 class TraceCore:
     """One trace-driven core."""
 
@@ -176,14 +144,18 @@ class TraceCore:
         self._next_record = 0
         #: Instructions issued so far (program-order position).
         self._issued_instructions = 0
-        #: Outstanding LLC load misses, in program order.
-        self._outstanding: list[_OutstandingMiss] = []
+        #: Outstanding LLC load misses, in program order, each a plain
+        #: ``(address, instruction_position, blocks_window)`` tuple: the
+        #: missed address, the instruction count (program-order position)
+        #: at which it issued, and whether the window cannot retire past it
+        #: (demand loads).
+        self._outstanding: list[tuple[int, int, bool]] = []
         self._finished = False
         #: Everything the issue loop needs, as one tuple, built with the
-        #: compiled trace on the first run: :meth:`run` is called once per
-        #: unblocking completion and often issues only a couple of records,
-        #: so its fixed setup cost (a dozen attribute loads) matters; one
-        #: load plus an unpack is cheaper.
+        #: compiled trace on the first run: :meth:`run_requests` is called
+        #: once per unblocking completion and often issues only a couple of
+        #: records, so its fixed setup cost (a dozen attribute loads)
+        #: matters; one load plus an unpack is cheaper.
         self._run_hot: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -217,33 +189,23 @@ class TraceCore:
     # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------
-    def run(self, now: int) -> CoreRunResult:
+    def run_requests(self, now: int) -> list[tuple[int, int, bool]]:
         """Issue work starting at cycle ``now`` until a stall or completion.
 
-        The returned requests carry their own issue cycles (all >= ``now``);
-        the caller is responsible for delivering them to the memory
-        controller at those times and for calling :meth:`notify_completion`
-        when each read completes.
-        """
-        requests = self.run_requests(now)
-        if self._finished:
-            return CoreRunResult(requests=requests, finished=True,
-                                 stalled=False)
-        return CoreRunResult(requests=requests, finished=False, stalled=True)
-
-    def run_requests(self, now: int) -> list[IssuedRequest]:
-        """Hot-path variant of :meth:`run`: returns only the issued requests.
-
-        The simulator needs nothing else per core-run event — whether the
-        core finished or stalled is observable via :attr:`finished` — so
-        the ``CoreRunResult`` wrapper is built only for :meth:`run` callers.
+        Returns the memory requests issued, in issue order, each a plain
+        ``(issue_cycle, address, is_write)`` tuple; issue cycles are all
+        >= ``now``.  The caller is responsible for delivering them to the
+        memory controller at those times and for calling
+        :meth:`notify_completion` when each read completes.  Afterwards
+        :attr:`finished` tells whether the core executed its whole trace;
+        otherwise it stalled, waiting for a completion.
         """
         if self._finished:
             return []
         hot = self._run_hot or self._load_compiled_trace()
         if now > self._core_cycle:
             self._core_cycle = now
-        requests: list[IssuedRequest] = []
+        requests: list[tuple[int, int, bool]] = []
 
         # The whole issue loop runs on locals (written back before every
         # return): it executes once per trace record, and both a method
@@ -267,10 +229,10 @@ class TraceCore:
                 stalled = True
                 break
             if outstanding:
-                oldest = outstanding[0]
-                if oldest.blocks_window \
+                _, oldest_position, oldest_blocks = outstanding[0]
+                if oldest_blocks \
                         and (issued_instructions
-                             - oldest.instruction_position) >= window_size:
+                             - oldest_position) >= window_size:
                     stalled = True
                     break
             (cycles, instructions, address, is_write, needs_memory,
@@ -284,8 +246,7 @@ class TraceCore:
 
             for writeback_address in writebacks:
                 new_writebacks += 1
-                requests.append(IssuedRequest(core_cycle, writeback_address,
-                                              True))
+                requests.append((core_cycle, writeback_address, True))
             if not needs_memory:
                 continue
 
@@ -306,16 +267,13 @@ class TraceCore:
             else:
                 new_miss_loads += 1
             if new_entry:
-                requests.append(IssuedRequest(core_cycle, address, False))
-                outstanding.append(_OutstandingMiss(address,
-                                                    issued_instructions,
-                                                    not is_write))
+                requests.append((core_cycle, address, False))
+                outstanding.append((address, issued_instructions,
+                                    not is_write))
             elif not is_write:
                 # The miss merged into an existing MSHR; the load still
                 # blocks the window on the earlier request's completion.
-                outstanding.append(_OutstandingMiss(address,
-                                                    issued_instructions,
-                                                    True))
+                outstanding.append((address, issued_instructions, True))
         self._next_record = next_record
         self._core_cycle = core_cycle
         self._issued_instructions = issued_instructions
@@ -332,7 +290,7 @@ class TraceCore:
         """A read request issued by this core completed.
 
         Returns True when the core can now make progress (the caller should
-        schedule a :meth:`run` at ``completion_cycle``).  The core's clock is
+        schedule a :meth:`run_requests` at ``completion_cycle``).  The core's clock is
         only advanced when this completion is what the core was waiting for;
         a younger miss returning early does not release an older window
         stall.
@@ -340,19 +298,20 @@ class TraceCore:
         block_mask = self._block_mask
         block = address & block_mask
         outstanding = self._outstanding
+        # ``miss[0]`` is the outstanding miss's address.
         kept = [miss for miss in outstanding
-                if (miss.address & block_mask) != block]
+                if (miss[0] & block_mask) != block]
         if len(kept) == len(outstanding):
             return False
         # The issue loop's stall checks, once against the state before the
         # completion is applied and once after.
         mshr_entries = self._mshr_entries
         window_size = self._window_size
-        oldest = outstanding[0]
+        _, oldest_position, oldest_blocks = outstanding[0]
         stalled_before = len(mshr_entries) >= self._mshr_capacity \
-            or (oldest.blocks_window
+            or (oldest_blocks
                 and (self._issued_instructions
-                     - oldest.instruction_position) >= window_size)
+                     - oldest_position) >= window_size)
         # In-place so aliases of the outstanding list stay valid.
         outstanding[:] = kept
         # Inline MSHRFile.release (the entry must exist: an outstanding
@@ -360,11 +319,10 @@ class TraceCore:
         del mshr_entries[address >> self._mshr_shift]
 
         if kept:
-            oldest = kept[0]
-            can_progress = not (oldest.blocks_window
+            _, oldest_position, oldest_blocks = kept[0]
+            can_progress = not (oldest_blocks
                                 and (self._issued_instructions
-                                     - oldest.instruction_position)
-                                >= window_size)
+                                     - oldest_position) >= window_size)
         else:
             can_progress = True
         if can_progress and completion_cycle > self._core_cycle:

@@ -19,7 +19,7 @@ depend on.
 """
 
 from repro.dram.address import AddressMapper, DecodedAddress
-from repro.dram.bank import AccessResult, Bank, RelocationResult
+from repro.dram.bank import Bank
 from repro.dram.channel import Channel
 from repro.dram.commands import Command
 from repro.dram.config import DRAMConfig
@@ -30,7 +30,6 @@ from repro.dram.subarray import Subarray
 from repro.dram.timings import DRAMTimings, TimingSet, derive_fast_timings
 
 __all__ = [
-    "AccessResult",
     "AddressMapper",
     "Bank",
     "Channel",
@@ -41,7 +40,6 @@ __all__ = [
     "DRAMTimings",
     "DecodedAddress",
     "Rank",
-    "RelocationResult",
     "Subarray",
     "TimingSet",
     "derive_fast_timings",

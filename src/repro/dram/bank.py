@@ -9,6 +9,9 @@ may be issued (tRP, tRC).
 The model is event-driven: :meth:`Bank.access` is called by the memory
 controller with the cycle at which it wants to start the access, and returns
 when the data transfer completes and which row-buffer outcome occurred.
+Both it and :meth:`Bank.relocate` return plain tuples, each format written
+once in the method's docstring: one is built per request, and a tuple costs
+a fraction of a record class's Python-level constructor.
 Every in-bank relocation runs through :meth:`Bank.relocate`, which occupies
 the bank for the ACT / transfer / ACT / PRE sequence described in the
 paper's Section 4.2.  Two transfer terms use it: FIGARO's one RELOC per
@@ -18,48 +21,11 @@ cache block (distance independent) and LISA-VILLA's hop-by-hop row copy
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.dram.commands import Command
 from repro.dram.config import DRAMConfig
 from repro.dram.counters import CommandCounters
 from repro.dram.rank import Rank
 from repro.dram.timings import TimingSet
-
-
-@dataclass(slots=True)
-class AccessResult:
-    """Outcome of one column access serviced by a bank.
-
-    Plain slotted records (not frozen): one is created per serviced
-    request, and frozen-dataclass construction costs an ``object.__setattr__``
-    per field on the hottest allocation site in the model.  Treat as
-    read-only.
-    """
-
-    #: Cycle at which the first command of the access was issued.
-    issue_cycle: int
-    #: Cycle at which the data burst completes on the channel bus.
-    completion_cycle: int
-    #: Cycle at which the bank can accept the next request.
-    bank_ready_cycle: int
-    #: ``hit``, ``miss``, or ``conflict``.
-    outcome: str
-    #: True when the access was served from a fast (short-bitline) region.
-    served_fast: bool
-
-
-@dataclass(slots=True)
-class RelocationResult:
-    """Outcome of one in-bank relocation (:meth:`Bank.relocate`)."""
-
-    #: Cycle at which the relocation sequence started.
-    start_cycle: int
-    #: Cycle at which the bank becomes available again.
-    completion_cycle: int
-    #: Number of RELOC commands issued (one per cache block for FIGARO,
-    #: none for a bulk row copy).
-    reloc_commands: int
 
 
 class Bank:
@@ -71,7 +37,7 @@ class Bank:
                  '_act_bg_pacing', '_trrd_l',
                  '_read_hot', '_write_hot', 'open_row',
                  '_last_act', '_next_act_allowed', '_next_col_allowed',
-                 '_next_pre_allowed', '_busy_until')
+                 '_next_pre_allowed', '_busy_until', 'ready_for_next')
 
     def __init__(self, config: DRAMConfig, rank: Rank, bank_key: tuple,
                  counters: CommandCounters, slow: TimingSet,
@@ -127,6 +93,16 @@ class Bank:
         #: Cycle until which the bank is occupied by a multi-command sequence
         #: such as a FIGARO relocation.
         self._busy_until = 0
+        #: Earliest cycle at which another column command could be issued:
+        #: always ``max(_busy_until, _next_col_allowed)``.  The memory
+        #: controller reads it to decide when to wake up and schedule the
+        #: next request for this bank.  Row hits to the open row can be
+        #: pipelined (tCCD apart), so this is typically earlier than the
+        #: completion of the previous data burst.  Kept as state rather than
+        #: derived per read: :meth:`access`, :meth:`relocate` and
+        #: :meth:`force_precharge_for_refresh`, the only writers of the two
+        #: timers, update it too.
+        self.ready_for_next = 0
 
     # ------------------------------------------------------------------
     # Introspection helpers.
@@ -140,17 +116,6 @@ class Bank:
     def busy_until(self) -> int:
         """Cycle until which the bank is blocked by an ongoing sequence."""
         return self._busy_until
-
-    @property
-    def ready_for_next(self) -> int:
-        """Earliest cycle at which another column command could be issued.
-
-        Used by the memory controller to decide when to wake up and schedule
-        the next request for this bank.  Row hits to the open row can be
-        pipelined (tCCD apart), so this is typically earlier than the
-        completion of the previous data burst.
-        """
-        return max(self._busy_until, self._next_col_allowed)
 
     def timing_for_row(self, row: int) -> TimingSet:
         """Return the timing set that applies to ``row``."""
@@ -171,13 +136,21 @@ class Bank:
     # Demand accesses.
     # ------------------------------------------------------------------
     def access(self, now: int, row: int, is_write: bool,
-               bus_free_at: int) -> AccessResult:
+               bus_free_at: int) -> tuple[int, int, str, bool]:
         """Service one column access to ``row`` starting no earlier than ``now``.
 
-        ``bus_free_at`` is the earliest cycle the channel data bus is free;
-        the returned :class:`AccessResult` reflects both bank and bus
-        constraints.  The caller (channel controller) is responsible for
-        advancing its own bus-free pointer to ``completion_cycle``.
+        ``bus_free_at`` is the earliest cycle the channel data bus is free.
+        Returns ``(completion_cycle, bank_ready_cycle, outcome,
+        served_fast)``, reflecting both bank and bus constraints:
+
+        * ``completion_cycle`` — the data burst completes on the bus;
+        * ``bank_ready_cycle`` — the bank's :attr:`ready_for_next` after
+          the access;
+        * ``outcome`` — ``"hit"``, ``"miss"`` or ``"conflict"``;
+        * ``served_fast`` — the row lies in a fast (short-bitline) region.
+
+        The caller (the channel) is responsible for advancing its own
+        bus-free pointer to ``completion_cycle``.
         """
         served_fast = self._all_fast or row >= self._regular_rows
         timing = self._fast if served_fast else self._slow
@@ -265,9 +238,12 @@ class Bank:
             rank = self._rank
             rank._last_col_cycle = col_cycle
             rank._bg_last_col[self._bg_index] = col_cycle
-
-        return AccessResult(start, completion, self._next_col_allowed,
-                            outcome, served_fast)
+        # The access started no earlier than the busy window and its column
+        # command pushed the column timer past its own slot, so the column
+        # timer alone is the bank's readiness.
+        ready = self._next_col_allowed
+        self.ready_for_next = ready
+        return completion, ready, outcome, served_fast
 
     def precharge(self, now: int) -> int:
         """Explicitly close the open row; returns the cycle the bank is idle."""
@@ -286,8 +262,12 @@ class Bank:
     # ------------------------------------------------------------------
     def relocate(self, now: int, source_row: int, destination_row: int,
                  transfer_cycles: int, relocs: int,
-                 keep_source_open: bool = False) -> RelocationResult:
+                 keep_source_open: bool = False) -> tuple[int, int, int]:
         """Move data from ``source_row`` to ``destination_row``.
+
+        Returns ``(start_cycle, completion_cycle, reloc_commands)``: the
+        cycle the sequence started, the cycle the bank becomes available
+        again, and the RELOC commands issued (``relocs``).
 
         Command sequence (paper Section 4.2): PRECHARGE whatever other row
         is open, ACTIVATE the source (skipped when the source row is already
@@ -377,6 +357,7 @@ class Bank:
             self._next_act_allowed = max(self._next_act_allowed, cycle)
             self._next_col_allowed = max(self._next_col_allowed, cycle)
             self._next_pre_allowed = max(self._next_pre_allowed, cycle)
+            self.ready_for_next = self._next_col_allowed
         else:
             # The bank ends the sequence precharged.
             self.open_row = None
@@ -384,8 +365,9 @@ class Bank:
             self._next_act_allowed = cycle
             self._next_col_allowed = cycle
             self._next_pre_allowed = cycle
+            self.ready_for_next = cycle
 
-        return RelocationResult(start, cycle, relocs)
+        return start, cycle, relocs
 
     # ------------------------------------------------------------------
     # Refresh support.
@@ -397,6 +379,7 @@ class Bank:
         self._next_act_allowed = max(self._next_act_allowed, cycle)
         self._next_col_allowed = max(self._next_col_allowed, cycle)
         self._next_pre_allowed = max(self._next_pre_allowed, cycle)
+        self.ready_for_next = max(self._busy_until, self._next_col_allowed)
 
     # ------------------------------------------------------------------
     # Internal helpers.

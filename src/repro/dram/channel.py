@@ -7,7 +7,7 @@ column access, relocating a row segment, and applying refresh.
 
 from __future__ import annotations
 
-from repro.dram.bank import AccessResult, Bank, RelocationResult
+from repro.dram.bank import Bank
 from repro.dram.config import DRAMConfig
 from repro.dram.counters import CommandCounters
 from repro.dram.rank import Rank
@@ -91,8 +91,11 @@ class Channel:
     # Operations.
     # ------------------------------------------------------------------
     def access(self, now: int, flat_bank: int, row: int,
-               is_write: bool) -> AccessResult:
-        """Service one column access, honouring refresh and bus occupancy."""
+               is_write: bool) -> tuple[int, int, str, bool]:
+        """Service one column access, honouring refresh and bus occupancy.
+
+        Returns :meth:`Bank.access`'s tuple.
+        """
         # Refresh is due a handful of times per million cycles; check the
         # rank's deadline inline so the common case skips the refresh walk.
         rank = self._rank_of[flat_bank]
@@ -102,7 +105,7 @@ class Channel:
             start = now
         result = self._banks[flat_bank].access(start, row, is_write,
                                                self._bus_free_at)
-        self._bus_free_at = result.completion_cycle
+        self._bus_free_at = result[0]  # the access's completion cycle
         return result
 
     # Both relocation entry points run the one Bank.relocate sequence and
@@ -111,11 +114,11 @@ class Channel:
     # each by name.
     def relocate(self, now: int, flat_bank: int, source_row: int,
                  destination_row: int, num_blocks: int,
-                 keep_source_open: bool = False) -> RelocationResult:
+                 keep_source_open: bool = False) -> tuple[int, int, int]:
         """Relocate a row segment inside one bank using FIGARO.
 
         The transfer is one RELOC per cache block: ``num_blocks x tRELOC``
-        cycles.
+        cycles.  Returns :meth:`Bank.relocate`'s tuple.
         """
         if num_blocks <= 0:
             raise ValueError("relocation needs at least one block")
@@ -126,11 +129,11 @@ class Channel:
 
     def bulk_relocate(self, now: int, flat_bank: int, source_row: int,
                       destination_row: int, transfer_cycles: int,
-                      keep_source_open: bool = False) -> RelocationResult:
+                      keep_source_open: bool = False) -> tuple[int, int, int]:
         """Relocate an entire row with a bulk (LISA-style) mechanism.
 
         The caller supplies the distance-dependent ``transfer_cycles``; no
-        RELOC command is issued.
+        RELOC command is issued.  Returns :meth:`Bank.relocate`'s tuple.
         """
         start = self._apply_refresh(now, flat_bank)
         return self._banks[flat_bank].relocate(

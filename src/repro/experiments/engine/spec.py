@@ -74,7 +74,8 @@ class ExperimentScale:
 
     @classmethod
     def bench(cls) -> "ExperimentScale":
-        """The scale the benchmark harness uses."""
+        """A short scale: perfbench's ``sweep-engine`` workload and the
+        Figure 7 claim in ``tests/test_sim_experiments.py`` run at it."""
         return cls(single_core_records=6000, multicore_records=1500,
                    num_cores=8, multicore_channels=4, mixes_per_category=1,
                    benchmarks_per_class=2)

@@ -414,22 +414,25 @@ def drive_core_to_completion(core, latency=200):
 
     Reads complete in issue order, ``latency`` cycles after issue; every
     completion that unblocks the core runs it again.  Returns every request
-    the core issued, in order, and checks the MSHR bound after each run.
+    the core issued, in order, as ``(issue_cycle, address, is_write)``, and
+    checks the MSHR bound after each run.
     """
     stream = []
     pending = deque()
 
     def run(now):
-        issued = core.run(now).requests
+        issued = core.run_requests(now)
         assert core.mshrs.occupancy <= core.config.mshr_entries
         stream.extend(issued)
-        pending.extend(request for request in issued if not request.is_write)
+        pending.extend((issue_cycle, address)
+                       for issue_cycle, address, is_write in issued
+                       if not is_write)
 
     run(0)
     while pending:
-        request = pending.popleft()
-        finish = request.issue_cycle + latency
-        if core.notify_completion(request.address, finish):
+        issue_cycle, address = pending.popleft()
+        finish = issue_cycle + latency
+        if core.notify_completion(address, finish):
             run(finish)
     assert core.finished
     return stream
@@ -456,30 +459,31 @@ class TestTraceCore:
         config = CoreConfig(mshr_entries=4)
         trace = simple_trace(100, bubbles=0)
         core = TraceCore(0, trace, config)
-        result = core.run(0)
-        reads = [r for r in result.requests if not r.is_write]
+        requests = core.run_requests(0)
+        reads = [address for _, address, is_write in requests
+                 if not is_write]
         assert len(reads) <= 4
-        assert result.stalled
+        assert not core.finished  # stalled
 
     def test_cache_hits_do_not_reach_memory(self):
         trace = [TraceRecord(bubbles=5, address=0x40, is_write=False)
                  for _ in range(20)]
         core = TraceCore(0, trace)
-        result = core.run(0)
-        assert len(result.requests) == 1  # only the first access misses
+        requests = core.run_requests(0)
+        assert len(requests) == 1  # only the first access misses
         core.notify_completion(0x40, core.core_cycle + 100)
         assert core.finished
 
     def test_notify_for_unknown_address_is_ignored(self):
         core = TraceCore(0, simple_trace(5))
-        core.run(0)
+        core.run_requests(0)
         assert core.notify_completion(0xDEADBEEF000, 100) is False
 
     def test_writes_do_not_block_the_window(self):
         config = CoreConfig(mshr_entries=8, window_size=64)
         trace = simple_trace(30, bubbles=0, write_every=1)
         core = TraceCore(0, trace, config)
-        core.run(0)
+        core.run_requests(0)
         # All stores: the core only pauses when MSHRs run out, not because
         # the window is blocked by a load.
         assert core.stats.llc_miss_stores > 0
@@ -589,8 +593,8 @@ class TestTraceCoreProperties:
         core = TraceCore(0, trace, config)
         stream = drive_core_to_completion(core, latency)
         stats, mshrs = core.stats, core.mshrs
-        reads = [request for request in stream if not request.is_write]
-        writes = [request for request in stream if request.is_write]
+        reads = [address for _, address, is_write in stream if not is_write]
+        writes = [address for _, address, is_write in stream if is_write]
 
         assert stats.instructions == sum(record.bubbles + 1
                                          for record in trace)

@@ -221,12 +221,13 @@ class TestFIGCacheMechanism:
                                     fromlist=["AddressMapper"])
         mapper = device_decoded.AddressMapper(config)
         decoded = mapper.decode(0x40000)
-        first = cache.service(channel, 0, decoded, 0, False)
-        assert first.in_dram_cache_hit is False
+        _, busy_until, _, first_hit, _ = cache.service(channel, 0, decoded,
+                                                       0, False)
+        assert first_hit is False
         assert cache.stats.insertions == 1
-        second = cache.service(channel, first.bank_busy_until + 1000,
-                               decoded, 0, False)
-        assert second.in_dram_cache_hit is True
+        _, _, _, second_hit, _ = cache.service(channel, busy_until + 1000,
+                                               decoded, 0, False)
+        assert second_hit is True
         assert cache.stats.cache_hit_rate == pytest.approx(0.5)
 
     def test_effective_row_redirects_after_insertion(self):
@@ -247,8 +248,8 @@ class TestFIGCacheMechanism:
         from repro.dram.address import AddressMapper
 
         decoded = AddressMapper(config).decode(0x90000)
-        result = cache.service(channel, 0, decoded, 0, False)
-        assert result.relocation_cycles == 0
+        cache.service(channel, 0, decoded, 0, False)
+        assert cache.stats.relocation_cycles == 0
         assert cache.stats.insertions == 1
 
     def test_slow_placement_excludes_reserved_subarray(self):
@@ -275,8 +276,9 @@ class TestFIGCacheMechanism:
         for index in range(segments_per_row + 2):
             decoded = DecodedAddress(channel=0, rank=0, bankgroup=0, bank=0,
                                      row=index * 7 + 1, column_block=0)
-            result = cache.service(channel, now, decoded, 0, False)
-            now = result.bank_busy_until + 100
+            _, busy_until, _, _, _ = cache.service(channel, now, decoded, 0,
+                                                   False)
+            now = busy_until + 100
         assert cache.stats.evictions == 2
 
     def test_dirty_eviction_triggers_writeback(self):
@@ -290,8 +292,9 @@ class TestFIGCacheMechanism:
         for index in range(3):
             decoded = DecodedAddress(channel=0, rank=0, bankgroup=0, bank=0,
                                      row=index * 11 + 1, column_block=0)
-            result = cache.service(channel, now, decoded, 0, True)
-            now = result.bank_busy_until + 100
+            _, busy_until, _, _, _ = cache.service(channel, now, decoded, 0,
+                                                   True)
+            now = busy_until + 100
         assert cache.stats.dirty_writebacks >= 1
 
 
@@ -350,8 +353,8 @@ class TestFIGCacheRelocationInvariant:
             decoded = DecodedAddress(
                 channel=0, rank=0, bankgroup=0, bank=0, row=rng.choice(rows),
                 column_block=rng.randrange(config.blocks_per_row))
-            now = cache.service(channel, now, decoded, 0,
-                                rng.random() < 0.3).bank_busy_until
+            _, now, _, _, _ = cache.service(channel, now, decoded, 0,
+                                            rng.random() < 0.3)
         stats = cache.stats
         assert len(calls) == stats.insertions + stats.dirty_writebacks
         assert stats.relocation_operations == len(calls) * segment_blocks
@@ -371,8 +374,8 @@ class TestBaselines:
         from repro.dram.address import AddressMapper
 
         decoded = AddressMapper(config).decode(0x1234 * 64)
-        result = base.service(channel, 0, decoded, 0, False)
-        assert result.in_dram_cache_hit is None
+        _, _, _, cache_hit, _ = base.service(channel, 0, decoded, 0, False)
+        assert cache_hit is None
         assert base.effective_row(channel, decoded, 0) == decoded.row
 
     def test_lisa_villa_requires_fast_rows(self):
@@ -394,13 +397,14 @@ class TestBaselines:
         from repro.dram.address import AddressMapper
 
         decoded = AddressMapper(config).decode(0x200000)
-        first = lisa.service(channel, 0, decoded, 0, False)
-        assert first.in_dram_cache_hit is False
-        channel.bank(0).precharge(first.bank_busy_until + 10)
-        second = lisa.service(channel, first.bank_busy_until + 1000, decoded,
-                              0, False)
-        assert second.in_dram_cache_hit is True
-        assert second.served_fast
+        _, busy_until, _, first_hit, _ = lisa.service(channel, 0, decoded, 0,
+                                                      False)
+        assert first_hit is False
+        channel.bank(0).precharge(busy_until + 10)
+        _, _, _, second_hit, served_fast = lisa.service(
+            channel, busy_until + 1000, decoded, 0, False)
+        assert second_hit is True
+        assert served_fast
 
     def test_lisa_villa_caches_whole_rows(self):
         config = DRAMConfig(fast_subarrays_per_bank=16)
@@ -410,8 +414,8 @@ class TestBaselines:
 
         a = DecodedAddress(0, 0, 0, 0, row=77, column_block=0)
         b = DecodedAddress(0, 0, 0, 0, row=77, column_block=100)
-        first = lisa.service(channel, 0, a, 0, False)
-        channel.bank(0).precharge(first.bank_busy_until + 10)
-        second = lisa.service(channel, first.bank_busy_until + 500, b, 0,
-                              False)
-        assert second.in_dram_cache_hit is True
+        _, busy_until, _, _, _ = lisa.service(channel, 0, a, 0, False)
+        channel.bank(0).precharge(busy_until + 10)
+        _, _, _, second_hit, _ = lisa.service(channel, busy_until + 500, b, 0,
+                                              False)
+        assert second_hit is True

@@ -1,5 +1,7 @@
 """Unit and property tests for the DRAM device substrate."""
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.dram import (AddressMapper, Bank, Channel, Command,
                         CommandCounters, DRAMConfig, DRAMDevice, DRAMTimings,
                         Rank, TimingSet, derive_fast_timings)
 from repro.dram.address import DecodedAddress
+from repro.dram.standards import get_profile
 from repro.dram.subarray import build_subarrays
 
 
@@ -210,49 +213,51 @@ def figaro_relocate(bank, config, now, source_row, destination_row,
 
 
 class TestBank:
+    # Every access below starts on an idle bank, so it issues at the cycle
+    # asked for and its latency is its completion minus that cycle.
     def test_first_access_is_a_row_miss(self):
         bank, counters, _ = make_bank()
-        result = bank.access(0, row=100, is_write=False, bus_free_at=0)
-        assert result.outcome == "miss"
+        completion, _, outcome, _ = bank.access(0, row=100, is_write=False,
+                                                bus_free_at=0)
+        assert outcome == "miss"
         assert counters.activates == 1
-        assert result.completion_cycle > result.issue_cycle
+        assert completion > 0
 
     def test_second_access_to_same_row_is_a_hit_and_faster(self):
         bank, _, _ = make_bank()
-        first = bank.access(0, 100, False, 0)
-        second = bank.access(first.completion_cycle, 100, False,
-                             first.completion_cycle)
-        assert second.outcome == "hit"
-        first_latency = first.completion_cycle - first.issue_cycle
-        second_latency = second.completion_cycle - second.issue_cycle
+        first_completion, _, _, _ = bank.access(0, 100, False, 0)
+        second_completion, _, outcome, _ = bank.access(
+            first_completion, 100, False, first_completion)
+        assert outcome == "hit"
+        first_latency = first_completion - 0
+        second_latency = second_completion - first_completion
         assert second_latency < first_latency
 
     def test_access_to_other_row_is_a_conflict(self):
         bank, counters, _ = make_bank()
-        first = bank.access(0, 100, False, 0)
-        conflict = bank.access(first.completion_cycle + 200, 200, False, 0)
-        assert conflict.outcome == "conflict"
+        first_completion, _, _, _ = bank.access(0, 100, False, 0)
+        _, _, outcome, _ = bank.access(first_completion + 200, 200, False, 0)
+        assert outcome == "conflict"
         assert counters.precharges == 1
         assert bank.open_row == 200
 
     def test_conflict_is_slower_than_miss(self):
         bank_a, _, _ = make_bank()
-        miss = bank_a.access(0, 100, False, 0)
+        miss_completion, _, _, _ = bank_a.access(0, 100, False, 0)
         bank_b, _, _ = make_bank()
         bank_b.access(0, 50, False, 0)
-        conflict = bank_b.access(500, 100, False, 0)
-        assert (conflict.completion_cycle - conflict.issue_cycle) > \
-            (miss.completion_cycle - miss.issue_cycle)
+        conflict_completion, _, _, _ = bank_b.access(500, 100, False, 0)
+        assert (conflict_completion - 500) > (miss_completion - 0)
 
     def test_fast_row_miss_is_faster_than_slow_row_miss(self):
         bank, _, config = make_bank()
-        slow = bank.access(0, 100, False, 0)
+        slow_completion, _, _, _ = bank.access(0, 100, False, 0)
         fast_bank, _, _ = make_bank()
         fast_row = config.fast_region_row(0)
-        fast = fast_bank.access(0, fast_row, False, 0)
-        assert fast.served_fast
-        assert (fast.completion_cycle - fast.issue_cycle) < \
-            (slow.completion_cycle - slow.issue_cycle)
+        fast_completion, _, _, served_fast = fast_bank.access(
+            0, fast_row, False, 0)
+        assert served_fast
+        assert (fast_completion - 0) < (slow_completion - 0)
 
     def test_write_blocks_precharge_longer_than_read(self):
         bank_r, _, _ = make_bank()
@@ -266,25 +271,25 @@ class TestBank:
     def test_relocate_counts_one_reloc_per_block(self):
         bank, counters, config = make_bank()
         bank.access(0, 100, False, 0)
-        result = figaro_relocate(bank, config, 200, 100,
-                                 config.fast_region_row(0), 16)
-        assert result.reloc_commands == 16
+        start, completion, reloc_commands = figaro_relocate(
+            bank, config, 200, 100, config.fast_region_row(0), 16)
+        assert reloc_commands == 16
         assert counters.relocs == 16
-        assert result.completion_cycle > result.start_cycle
+        assert completion > start
 
     def test_relocate_skips_activate_when_source_open(self):
         bank_open, open_counters, config = make_bank()
         bank_open.access(0, 100, False, 0)
         activates_before = open_counters.activates
-        open_result = figaro_relocate(bank_open, config, 500, 100,
-                                      config.fast_region_row(0), 16)
+        open_start, open_completion, _ = figaro_relocate(
+            bank_open, config, 500, 100, config.fast_region_row(0), 16)
         bank_closed, closed_counters, _ = make_bank()
-        closed_result = figaro_relocate(bank_closed, config, 500, 100,
-                                        config.fast_region_row(0), 16)
+        closed_start, closed_completion, _ = figaro_relocate(
+            bank_closed, config, 500, 100, config.fast_region_row(0), 16)
         assert open_counters.activates - activates_before == 1
         assert closed_counters.activates == 2
-        assert (open_result.completion_cycle - open_result.start_cycle) < \
-            (closed_result.completion_cycle - closed_result.start_cycle)
+        assert (open_completion - open_start) < \
+            (closed_completion - closed_start)
 
     def test_relocate_keep_source_open_preserves_row(self):
         bank, _, config = make_bank()
@@ -313,19 +318,28 @@ class TestBank:
 
     def test_bulk_relocate_scales_with_transfer_cycles(self):
         bank_a, _, config = make_bank()
-        short = bank_a.relocate(0, 100, config.fast_region_row(0), 10, 0)
+        short_start, short_completion, _ = bank_a.relocate(
+            0, 100, config.fast_region_row(0), 10, 0)
         bank_b, _, _ = make_bank()
-        long = bank_b.relocate(0, 100, config.fast_region_row(0), 500, 0)
-        assert (long.completion_cycle - long.start_cycle) - \
-            (short.completion_cycle - short.start_cycle) == 490
+        long_start, long_completion, _ = bank_b.relocate(
+            0, 100, config.fast_region_row(0), 500, 0)
+        assert (long_completion - long_start) - \
+            (short_completion - short_start) == 490
 
     def test_relocation_occupies_bank(self):
         bank, _, config = make_bank()
         bank.access(0, 100, False, 0)
-        result = figaro_relocate(bank, config, 200, 100,
-                                 config.fast_region_row(0), 16)
-        follow_up = bank.access(result.start_cycle + 1, 100, False, 0)
-        assert follow_up.issue_cycle >= result.completion_cycle
+        start, completion, _ = figaro_relocate(
+            bank, config, 200, 100, config.fast_region_row(0), 16)
+        follow_completion, _, outcome, _ = bank.access(start + 1, 100, False,
+                                                       0)
+        # The relocation left the bank precharged, so the follow-up is a
+        # row miss; its issue cycle is its completion minus the miss
+        # latency (nothing else delays it).
+        assert outcome == "miss"
+        follow_issue = follow_completion \
+            - config.slow_timing_set().row_miss_latency
+        assert follow_issue >= completion
 
 
 # ----------------------------------------------------------------------
@@ -382,8 +396,8 @@ class TestRelocationSequence:
         assert config.subarray_of_row(source) \
             != config.subarray_of_row(destination)
         channel = Channel(config, 0, refresh_enabled=False)
-        result = channel.relocate(0, 0, source, destination, 1)
-        cycles = result.completion_cycle - result.start_cycle
+        start, completion, _ = channel.relocate(0, 0, source, destination, 1)
+        cycles = completion - start
         assert (timing.tras, timing.treloc, timing.trcd, timing.trp) \
             == (112, 4, 44, 44)
         assert cycles == 112 + 4 + 44 + 44 == 204
@@ -421,16 +435,15 @@ class TestRelocationSequence:
         figaro = relocation_channel(open_row, opened_at, is_write)
         bulk = relocation_channel(open_row, opened_at, is_write)
 
-        by_reloc = figaro.relocate(now, 0, source, destination, num_blocks,
-                                   keep_source_open)
-        by_copy = bulk.bulk_relocate(now, 0, source, destination,
-                                     num_blocks * RELOC_TRELOC,
-                                     keep_source_open)
+        reloc_start, reloc_completion, reloc_commands = figaro.relocate(
+            now, 0, source, destination, num_blocks, keep_source_open)
+        copy_start, copy_completion, copy_commands = bulk.bulk_relocate(
+            now, 0, source, destination, num_blocks * RELOC_TRELOC,
+            keep_source_open)
 
-        assert (by_reloc.start_cycle, by_reloc.completion_cycle) \
-            == (by_copy.start_cycle, by_copy.completion_cycle)
-        assert (by_reloc.reloc_commands, by_copy.reloc_commands) \
-            == (num_blocks, 0)
+        assert (reloc_start, reloc_completion) \
+            == (copy_start, copy_completion)
+        assert (reloc_commands, copy_commands) == (num_blocks, 0)
         assert figaro.bank(0).open_row == bulk.bank(0).open_row
         assert figaro.bank(0).ready_for_next == bulk.bank(0).ready_for_next
         reloc_counts = figaro.counters.to_dict()
@@ -438,6 +451,64 @@ class TestRelocationSequence:
         assert reloc_counts.pop("relocs") == num_blocks
         assert copy_counts.pop("relocs") == 0
         assert reloc_counts == copy_counts
+
+
+# ----------------------------------------------------------------------
+# Bank readiness: kept as state by the bank's only timer writers.
+# ----------------------------------------------------------------------
+#: The Table 1 device and a bank-grouped standard (tCCD_L/tRRD_L pacing),
+#: each with two fast subarrays so accesses reach fast rows too.
+READINESS_CONFIGS = {
+    standard: dataclasses.replace(get_profile(standard).dram_config(),
+                                  fast_subarrays_per_bank=2)
+    for standard in ("DDR4-1600", "DDR5-4800")}
+
+#: (operation, cycles since the previous one, row index, argument): the
+#: argument is the bus wait of an access, the destination row index of a
+#: relocation, and how long a refresh blocks the bank.
+bank_operations = st.lists(st.tuples(
+    st.sampled_from(["read", "write", "relocate", "relocate-keep-open",
+                     "precharge", "refresh"]),
+    st.integers(0, 400), st.integers(0, 5), st.integers(0, 400)),
+    min_size=1, max_size=40)
+
+
+class TestBankReadiness:
+    @given(standard=st.sampled_from(sorted(READINESS_CONFIGS)),
+           operations=bank_operations)
+    @settings(max_examples=150, deadline=None)
+    def test_ready_for_next_tracks_the_timers(self, standard, operations):
+        config = READINESS_CONFIGS[standard]
+        slow = config.slow_timing_set()
+        rank = Rank(slow, refresh_enabled=False,
+                    num_banks=config.banks_per_rank,
+                    num_bankgroups=config.bankgroups_per_rank)
+        bank = Bank(config, rank, (0, 0, 1, 0), CommandCounters(), slow,
+                    config.fast_timing_set())
+        regular = config.regular_rows_per_bank
+        # Three regular rows in different subarrays, three fast rows.
+        rows = [3, config.rows_per_subarray + 5, regular - 1,
+                regular, regular + 1, regular + config.fast_rows_per_bank - 1]
+        now = 0
+        for operation, gap, row_index, argument in operations:
+            now += gap
+            row = rows[row_index]
+            if operation in ("read", "write"):
+                _, bank_ready_cycle, _, _ = bank.access(
+                    now, row, operation == "write", now + argument)
+                assert bank.ready_for_next == bank_ready_cycle
+            elif operation.startswith("relocate"):
+                destination = rows[argument % len(rows)]
+                if destination == row:
+                    continue
+                bank.relocate(now, row, destination, 16 * slow.treloc, 16,
+                              operation == "relocate-keep-open")
+            elif operation == "precharge":
+                bank.precharge(now)
+            else:
+                bank.force_precharge_for_refresh(now + argument)
+            assert bank.ready_for_next \
+                == max(bank.busy_until, bank._next_col_allowed)
 
 
 # ----------------------------------------------------------------------
@@ -501,16 +572,16 @@ class TestChannelAndDevice:
         assert channel.bank(0).open_row == 100
         # Jump past several refresh intervals; the next access must wait for
         # the refresh and find the bank closed (so it re-activates).
-        result = channel.access(3 * timing.trefi, 0, 100, False)
-        assert result.outcome == "miss"
+        _, _, outcome, _ = channel.access(3 * timing.trefi, 0, 100, False)
+        assert outcome == "miss"
         assert channel.counters.refreshes >= 1
 
     def test_bus_serialises_back_to_back_accesses(self):
         config = DRAMConfig()
         channel = Channel(config, 0, refresh_enabled=False)
-        first = channel.access(0, 0, 10, False)
-        second = channel.access(0, 1, 10, False)
-        assert second.completion_cycle >= first.completion_cycle \
+        first_completion, _, _, _ = channel.access(0, 0, 10, False)
+        second_completion, _, _, _ = channel.access(0, 1, 10, False)
+        assert second_completion >= first_completion \
             + config.slow_timing_set().tbl
 
     def test_device_counters_merge(self):

@@ -151,10 +151,12 @@ class TestBankGroupPacing:
         channel.access(0, first_bank, 100, False)       # open the rows,
         channel.access(2000, second_bank, 100, False)   # well separated
         start = 10_000
-        first = channel.access(start, first_bank, 100, False)
-        second = channel.access(start, second_bank, 100, False)
-        assert first.outcome == second.outcome == "hit"
-        return second.completion_cycle - first.completion_cycle
+        first_completion, _, first_outcome, _ = channel.access(
+            start, first_bank, 100, False)
+        second_completion, _, second_outcome, _ = channel.access(
+            start, second_bank, 100, False)
+        assert first_outcome == second_outcome == "hit"
+        return second_completion - first_completion
 
     def test_same_group_columns_spaced_at_tccd_l(self):
         # Banks 0 and 1 share bank group 0; banks 0 and 4 are in different
@@ -185,25 +187,25 @@ class TestBankGroupPacing:
         for bank in (0, 1, 4):                      # open the rows
             channel.access(0, bank, 100, False)
         start = 10_000
-        first = channel.access(start, 0, 100, False)
+        first_completion, _, _, _ = channel.access(start, 0, 100, False)
         channel.access(start, 4, 100, False)        # other bank group
-        third = channel.access(start, 1, 100, False)  # bg0 again
-        assert third.completion_cycle - first.completion_cycle \
-            >= timing.tccd
+        third_completion, _, _, _ = channel.access(start, 1, 100,
+                                                   False)  # bg0 again
+        assert third_completion - first_completion >= timing.tccd
 
     def test_same_group_activates_spaced_at_trrd_l(self):
         timing = get_profile("DDR5-4800").dram_config().slow_timing_set()
         assert timing.trrd_l > timing.trrd
 
         same = _channel_for("DDR5-4800")
-        first = same.access(0, 0, 100, False)
-        second = same.access(0, 1, 200, False)
-        same_gap = second.completion_cycle - first.completion_cycle
+        first_completion, _, _, _ = same.access(0, 0, 100, False)
+        second_completion, _, _, _ = same.access(0, 1, 200, False)
+        same_gap = second_completion - first_completion
 
         cross = _channel_for("DDR5-4800")
-        first = cross.access(0, 0, 100, False)
-        second = cross.access(0, 4, 200, False)
-        cross_gap = second.completion_cycle - first.completion_cycle
+        first_completion, _, _, _ = cross.access(0, 0, 100, False)
+        second_completion, _, _, _ = cross.access(0, 4, 200, False)
+        cross_gap = second_completion - first_completion
 
         assert same_gap == timing.trrd_l
         assert cross_gap < same_gap
@@ -244,9 +246,13 @@ class TestRefreshPerStandard:
         rank = channel.rank_of_bank(0)
         interval, duration = rank.refresh_interval, rank.refresh_duration
         # Bank 0 is the refresh target; an access to it right after the
-        # due cycle must wait out tRFCpb from the due slot.
-        result = channel.access(interval + 1, 0, 10, False)
-        assert result.issue_cycle >= interval + duration
+        # due cycle must wait out tRFCpb from the due slot.  The refresh
+        # closed the bank, so the access is a row miss and issued at its
+        # completion minus the miss latency.
+        completion, _, outcome, _ = channel.access(interval + 1, 0, 10, False)
+        assert outcome == "miss"
+        timing = channel.config.slow_timing_set()
+        assert completion - timing.row_miss_latency >= interval + duration
 
     def test_per_bank_catchup_does_not_serialise_the_backlog(self):
         # A long idle gap accrues many pending refreshes; they are stamped
@@ -256,9 +262,9 @@ class TestRefreshPerStandard:
         rank = channel.rank_of_bank(0)
         interval, duration = rank.refresh_interval, rank.refresh_duration
         gap = 50 * interval
-        result = channel.access(gap + 1, 0, 10, False)
+        completion, _, _, _ = channel.access(gap + 1, 0, 10, False)
         assert channel.counters.refreshes == 50
-        assert result.completion_cycle < gap + 2 * (interval + duration)
+        assert completion < gap + 2 * (interval + duration)
 
     def test_trefi_scaling_changes_refresh_count(self):
         # Halving tREFI doubles the refreshes observed over the same span.
