@@ -1,5 +1,7 @@
 """Tests for the FIGCache tag store, policies, and mechanisms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from repro.core.replacement import (LRUReplacement, RandomReplacement,
                                     SegmentBenefitReplacement,
                                     available_replacement_policies)
 from repro.dram import Channel, DRAMConfig
-from repro.sim.config import make_system_config
+from repro.sim.config import (CONFIGURATION_NAMES, make_mechanism,
+                              make_system_config)
 
 
 def make_channel(fast_subarrays=2, channels=1):
@@ -419,3 +422,46 @@ class TestBaselines:
         _, _, _, second_hit, _ = lisa.service(channel, busy_until + 500, b, 0,
                                               False)
         assert second_hit is True
+
+
+# ----------------------------------------------------------------------
+# The service tuple, for every configuration.
+# ----------------------------------------------------------------------
+class TestServiceTuple:
+    """The channel controller takes ``service``'s ``bank_busy_until`` as the
+    bank's next ready cycle and reads the bank itself only once per
+    scheduling pass, so the two must agree after every service, relocations
+    included."""
+
+    @pytest.mark.parametrize("name", CONFIGURATION_NAMES)
+    def test_busy_until_is_the_banks_readiness(self, name):
+        from repro.dram.address import DecodedAddress
+
+        config = make_system_config(name, channels=1)
+        [mechanism] = make_mechanism(config)
+        dram = config.dram
+        channel = Channel(dram, 0, refresh_enabled=False)
+        bank = channel.bank(0)
+        caches = not isinstance(mechanism, BaseMechanism)
+        rng = random.Random(23)
+        # Few rows, so inserted segments are soon hit.
+        rows = rng.sample(range(dram.regular_rows_per_bank), 6)
+        now = 0
+        cache_hits = 0
+        for _ in range(300):
+            decoded = DecodedAddress(
+                0, 0, 0, 0, row=rng.choice(rows),
+                column_block=rng.randrange(dram.blocks_per_row))
+            completion_cycle, busy_until, outcome, cache_hit, _ = \
+                mechanism.service(channel, now, decoded, 0,
+                                  rng.random() < 0.3)
+            assert busy_until == bank.ready_for_next
+            assert completion_cycle > now
+            assert outcome in ("hit", "miss", "conflict")
+            assert (cache_hit is not None) == caches
+            cache_hits += bool(cache_hit)
+            # The controller serves the bank again once it is ready.
+            now = busy_until + rng.randrange(40)
+        if caches:
+            assert cache_hits > 0
+            assert mechanism.stats.insertions > 0

@@ -196,10 +196,22 @@ class TestExperimentRunners:
         values = dict((row[0], row[1]) for row in data["rows"])
         assert values["guardbanded RELOC latency (ns)"] == pytest.approx(1.0)
 
+    def test_section42_runner_reports_end_to_end_relocation(self):
+        data = section42_reloc_timing(iterations=300)
+        values = dict((row[0], row[1]) for row in data["rows"])
+        assert values["end-to-end one-block relocation (ns)"] == \
+            pytest.approx(63.5, abs=1.0)
+
     def test_section83_runner(self):
         data = section83_overhead()
         values = dict((row[0], row[1]) for row in data["rows"])
         assert values["FTS storage per channel (kB)"] == pytest.approx(26.0)
+
+    def test_section83_runner_ranks_lisa_villa_area_above_figcache(self):
+        data = section83_overhead()
+        values = dict((row[0], row[1]) for row in data["rows"])
+        assert values["LISA-VILLA fast subarrays (% of DRAM chip)"] > \
+            values["FIGCache-Fast cache rows (% of DRAM chip)"]
 
     def test_rowhammer_study_reports_reduced_regular_row_pressure(self):
         data = rowhammer_activation_study(ExperimentScale.smoke(),
