@@ -98,10 +98,11 @@ class LISAVillaMechanism(CachingMechanism):
         self._hops_by_subarray = [
             min(period - (subarray % period), (subarray % period) + 1)
             for subarray in range(dram_config.subarrays_per_bank)]
-        #: Per-bank states, built at system-assembly time.
-        self._banks: dict[int, _BankState] = {
-            flat_bank: _BankState({}, self._cfg.cache_rows_per_bank)
-            for flat_bank in range(dram_config.banks_per_channel)}
+        #: Per-bank states indexed by flat bank, built at system-assembly
+        #: time.
+        self._banks: list[_BankState] = [
+            _BankState({}, self._cfg.cache_rows_per_bank)
+            for _ in range(dram_config.banks_per_channel)]
 
     # ------------------------------------------------------------------
     # Configuration accessors.
@@ -144,11 +145,8 @@ class LISAVillaMechanism(CachingMechanism):
     # ------------------------------------------------------------------
     def effective_row(self, channel: Channel, decoded: DecodedAddress,
                       flat_bank: int) -> int:
-        state = self._banks.get(flat_bank)
-        if state is None:
-            state = self._bank_state(flat_bank)
         row = decoded.row
-        entry = state.entries.get(row)
+        entry = self._banks[flat_bank].entries.get(row)
         if entry is None:
             return row
         if not entry.dirty and channel.bank(flat_bank).open_row == row:
@@ -161,9 +159,7 @@ class LISAVillaMechanism(CachingMechanism):
     def service(self, channel: Channel, now: int, decoded: DecodedAddress,
                 flat_bank: int, is_write: bool
                 ) -> tuple[int, int, str, bool | None, bool]:
-        state = self._banks.get(flat_bank)
-        if state is None:
-            state = self._bank_state(flat_bank)
+        state = self._banks[flat_bank]
         self.stats.cache_lookups += 1
         row = decoded.row
         entry = state.entries.get(row)
@@ -269,10 +265,3 @@ class LISAVillaMechanism(CachingMechanism):
                  "dirty": victim_row.dirty,
                  "writeback_cycles": writeback_cycles})
         return slot, writeback_cycles, current
-
-    def _bank_state(self, flat_bank: int) -> _BankState:
-        state = self._banks.get(flat_bank)
-        if state is None:
-            state = _BankState({}, self._cfg.cache_rows_per_bank)
-            self._banks[flat_bank] = state
-        return state

@@ -109,15 +109,13 @@ class FIGCache(CachingMechanism):
         #: placement only; -1 if n/a).  Every bank has the same layout.
         self._cache_row_ids, self._excluded_subarray = \
             self._cache_row_layout()
-        #: Per-bank caches, built for every bank of the channel at
-        #: system-assembly time.  Each tag store creates a slot's entry
-        #: only when the slot is first filled, so this costs O(banks),
-        #: not O(banks x cache slots).  (:meth:`_bank_cache` still handles
-        #: out-of-range flat banks for callers that probe unusual
-        #: topologies.)
-        self._banks: dict[int, _BankCache] = {
-            flat_bank: self._build_bank_cache()
-            for flat_bank in range(dram_config.banks_per_channel)}
+        #: Per-bank caches indexed by flat bank, built for every bank of
+        #: the channel at system-assembly time.  Each tag store creates a
+        #: slot's entry only when the slot is first filled, so this costs
+        #: O(banks), not O(banks x cache slots).
+        self._banks: list[_BankCache] = [
+            self._build_bank_cache()
+            for _ in range(dram_config.banks_per_channel)]
         self.name = {
             "fast": "FIGCache-Fast",
             "slow": "FIGCache-Slow",
@@ -148,8 +146,8 @@ class FIGCache(CachingMechanism):
         return self._segments_per_source_row
 
     def tag_store(self, flat_bank: int) -> FigTagStore:
-        """Return (creating if needed) the FTS of one bank."""
-        return self._bank_cache(flat_bank).tags
+        """Return the FTS of one bank."""
+        return self._banks[flat_bank].tags
 
     # ------------------------------------------------------------------
     # CachingMechanism interface.
@@ -158,11 +156,8 @@ class FIGCache(CachingMechanism):
                       flat_bank: int) -> int:
         # Called once per queued candidate on every scheduling attempt, so
         # the miss path (no tag entry) must stay a couple of dict lookups.
-        bank_cache = self._banks.get(flat_bank)
-        if bank_cache is None:
-            bank_cache = self._bank_cache(flat_bank)
         row = decoded.row
-        tags = bank_cache.tags
+        tags = self._banks[flat_bank].tags
         slot = tags._lookup.get(
             (row, decoded.column_block // self._segment_blocks))
         if slot is None:
@@ -181,9 +176,7 @@ class FIGCache(CachingMechanism):
 
         Returns :meth:`CachingMechanism.service`'s tuple.
         """
-        bank_cache = self._banks.get(flat_bank)
-        if bank_cache is None:
-            bank_cache = self._bank_cache(flat_bank)
+        bank_cache = self._banks[flat_bank]
         tags = bank_cache.tags
         row = decoded.row
         segment = decoded.column_block // self._segment_blocks
@@ -317,13 +310,6 @@ class FIGCache(CachingMechanism):
         """Segments from the excluded subarray (slow placement) stay uncached."""
         return (self._dram.subarray_of_row(source_row)
                 != self._excluded_subarray)
-
-    def _bank_cache(self, flat_bank: int) -> _BankCache:
-        bank_cache = self._banks.get(flat_bank)
-        if bank_cache is None:
-            bank_cache = self._build_bank_cache()
-            self._banks[flat_bank] = bank_cache
-        return bank_cache
 
     def _build_bank_cache(self) -> _BankCache:
         tags = FigTagStore(self._cfg.cache_rows_per_bank,

@@ -210,10 +210,9 @@ class ResultCache:
             self._persist(key, result)
 
     def put_many(self, items: Iterable[tuple[str, SimulationResult]]) -> None:
-        """Store a batch of ``(key, result)`` pairs.
-
-        The executor drains worker chunks through this: one call per
-        chunk, so every completed chunk is durable the moment it lands.
+        """Store a batch of ``(key, result)`` pairs, each as :meth:`put`
+        would.  The executor stores one result per finished job with
+        :meth:`put`; this is for callers holding several at once.
         """
         for key, result in items:
             self.put(key, result)

@@ -15,27 +15,28 @@ Throughput machinery (what makes sustained sweeps fast):
   reused across every subsequent :meth:`JobExecutor.run` call, so a
   session of figure batches pays pool spin-up once instead of per batch.
   ``close()`` (or using the executor as a context manager) shuts it down.
-* **Per-worker memo** — a process-local cache installed by the worker
-  initializer memoizes trace generation and ``SystemConfig`` construction
-  by the job's :meth:`~SimJob.trace_signature` /
-  :meth:`~SimJob.config_signature`, so evaluating six configurations on
-  one benchmark generates the benchmark's trace once per worker, not six
-  times.  The serial path shares the same memo in the parent process and,
-  like the workers, runs same-trace jobs back to back.
-* **Chunked dispatch** — pending jobs are grouped (same-trace jobs
-  adjacent) into roughly ``4 x workers`` chunks per batch, amortizing
-  pickling and IPC round-trips over many jobs.
-* **Completion-order draining** — chunk results are consumed as they
-  land and written to the cache immediately, so a crash mid-sweep loses
-  only in-flight chunks: re-running the same sweep against a persistent
-  cache simulates only the jobs that never finished.  The *returned*
-  mapping is still in deterministic submission order.
+* **Per-worker memo** — a process-local cache memoizes trace generation
+  and ``SystemConfig`` construction by the job's
+  :meth:`~SimJob.trace_signature` / :meth:`~SimJob.config_signature`, so
+  evaluating six configurations on one benchmark generates the
+  benchmark's trace once per worker, not six times.  The serial path
+  shares the same memo in the parent process and, like the workers, runs
+  same-trace jobs back to back.
+* **One job per free worker** — pending jobs wait in a queue (same-trace
+  jobs adjacent) and at most one job per worker is submitted at a time,
+  so every dispatched job is running.  A finished job frees its worker
+  for the next queued job before its result is written to the cache, so
+  a crash mid-sweep loses only the running jobs: re-running the same
+  sweep against a persistent cache simulates only the jobs that never
+  finished.  The *returned* mapping is still in deterministic
+  submission order.
 
 Reliability machinery (what makes million-job sweeps survive faults):
 
-* **One option** — ``keep_going=False`` (the default) fails fast: the
-  first failure cancels the batch's queued work and raises, and a worker
-  death re-raises ``BrokenProcessPool``.  ``keep_going=True`` (the CLI's
+* **One option** — ``keep_going=False`` (the default) fails fast: after
+  the first failure nothing more is dispatched, the running jobs finish
+  and are cached, and the batch raises; a worker death re-raises
+  ``BrokenProcessPool``.  ``keep_going=True`` (the CLI's
   ``--keep-going``) retries each failed, lost or timed-out job up to
   :data:`RETRY_MAX_ATTEMPTS` attempts and then *skips* it: absent from
   the returned mapping, listed in :attr:`JobExecutor.last_report`.
@@ -50,17 +51,16 @@ Reliability machinery (what makes million-job sweeps survive faults):
   exponentially with the attempt number and jitters by a factor derived
   from a SHA-256 of (job key, attempt), so reruns of the same sweep
   wait the same delays: chaos runs are reproducible.
-* **Hung-worker watchdog** — the parallel drain enforces per-chunk soft
-  deadlines (:func:`watchdog_allowance_s`, from an EWMA of observed
-  per-job runtimes; the clock restarts on any batch progress, so queue
-  wait behind healthy chunks never trips it).  A timed-out chunk is
-  surfaced as a ``chunk-timeout`` progress event, the stuck pool is
-  killed and respawned, and the chunk's jobs are retried.
-* **Pool respawn** — a worker death (``BrokenProcessPool``) under
-  ``keep_going`` respawns the pool and resubmits only the lost chunks
-  (each lost job isolated into its own chunk so a repeat offender only
-  takes itself down), at most :data:`POOL_RESPAWN_BUDGET` times per
-  batch; past the budget every outstanding job fails.
+* **Hung-worker watchdog** — every running job has a soft deadline,
+  counted from its dispatch (:func:`watchdog_allowance_s`, from an EWMA
+  of observed per-job runtimes).  An overdue job is surfaced as a
+  ``chunk-timeout`` progress event, the stuck pool is killed and
+  respawned, the overdue job is retried, and the other jobs the kill
+  interrupted are requeued without being charged an attempt.
+* **Pool respawn** — a worker death (``BrokenProcessPool``) fails every
+  running job with it.  Under ``keep_going`` the executor respawns the
+  pool and retries only those jobs, at most :data:`POOL_RESPAWN_BUDGET`
+  times per batch; past the budget every unfinished job fails.
 * **Fault injection** — the process-wide :class:`~.faults.FaultPlan`
   (:func:`repro.experiments.engine.faults.install_plan` or
   ``REPRO_FAULT_PLAN``) deterministically trips worker raises/kills/
@@ -76,7 +76,7 @@ import hashlib
 import os
 import time
 import traceback
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -92,11 +92,6 @@ from repro.sim.system import run_workload
 
 #: Environment variable selecting the default worker-process count.
 JOBS_ENV = "REPRO_JOBS"
-
-#: Chunks created per worker and batch: enough that a slow chunk cannot
-#: leave workers idle for long, few enough that pickling/IPC is amortized
-#: over several jobs per round-trip.
-CHUNKS_PER_WORKER = 4
 
 #: Per-worker memo capacities.  Traces are the big entries (tens of
 #: thousands of records at paper scale), so their cap is small; built
@@ -114,9 +109,9 @@ RETRY_BACKOFF_FACTOR = 2.0
 RETRY_BACKOFF_MAX_S = 5.0
 RETRY_JITTER = 0.25
 
-#: A parallel chunk's soft deadline: ``FACTOR x per-job EWMA x jobs``,
-#: clamped to ``[FLOOR, CEILING]`` seconds (see
-#: :func:`watchdog_allowance_s`).  The EWMA starts at ``INITIAL_EWMA``.
+#: A running job's soft deadline: ``FACTOR x per-job EWMA``, clamped to
+#: ``[FLOOR, CEILING]`` seconds (see :func:`watchdog_allowance_s`).  The
+#: EWMA starts at ``INITIAL_EWMA``.
 WATCHDOG_FLOOR_S = 30.0
 WATCHDOG_CEILING_S = 600.0
 WATCHDOG_FACTOR = 8.0
@@ -124,7 +119,7 @@ WATCHDOG_EWMA_ALPHA = 0.3
 WATCHDOG_INITIAL_EWMA_S = 1.0
 
 #: Worker pools a batch may respawn after worker deaths or watchdog
-#: kills before every outstanding job fails.
+#: kills before every unfinished job fails.
 POOL_RESPAWN_BUDGET = 3
 
 
@@ -146,17 +141,17 @@ def retry_delay_s(key: str, attempt: int) -> float:
     return delay
 
 
-def watchdog_allowance_s(jobs: int, ewma: float | None) -> float:
-    """Soft deadline for a chunk of ``jobs`` jobs, given the per-job EWMA
-    of simulation seconds (``None`` before the first observation).
+def watchdog_allowance_s(ewma: float | None) -> float:
+    """Soft deadline for one running job, counted from its dispatch, given
+    the per-job EWMA of simulation seconds (``None`` before the first
+    observation).
 
-    The deadline clock restarts whenever *any* chunk completes, so the
-    watchdog measures batch stall, not queue wait: it only fires when
-    nothing has finished for a whole allowance — a hung worker.
+    At most one job per worker is dispatched, so the deadline never
+    includes time spent waiting for a worker.
     """
     per_job = ewma if ewma is not None else WATCHDOG_INITIAL_EWMA_S
     return min(WATCHDOG_CEILING_S,
-               max(WATCHDOG_FLOOR_S, WATCHDOG_FACTOR * per_job * max(1, jobs)))
+               max(WATCHDOG_FLOOR_S, WATCHDOG_FACTOR * per_job))
 
 
 @dataclass
@@ -200,7 +195,7 @@ class BatchReport:
     #: Retry attempts performed (failed, lost and timed-out jobs that
     #: were resubmitted).
     retries: int = 0
-    #: Chunks the watchdog timed out.
+    #: Running jobs the watchdog timed out.
     chunk_timeouts: int = 0
     #: Worker pools respawned mid-batch (worker death or watchdog kill).
     pool_respawns: int = 0
@@ -222,7 +217,7 @@ class BatchReport:
         parts = [f"{self.failed} failed", f"{self.skipped} skipped",
                  f"{self.retries} retried"]
         if self.chunk_timeouts:
-            parts.append(f"{self.chunk_timeouts} chunk timeout(s)")
+            parts.append(f"{self.chunk_timeouts} job timeout(s)")
         if self.pool_respawns:
             parts.append(f"{self.pool_respawns} pool respawn(s)")
         return ", ".join(parts)
@@ -292,21 +287,10 @@ class _Memo:
 
 
 #: The process-local memo.  In the parent process it serves the serial
-#: path; in workers it is (re-)installed by :func:`_init_worker`.
+#: path.  A forked worker starts with a copy of the parent's memo (a free
+#: warm start); either way each process fills its own afterwards, so
+#: workers never contend on shared state.
 _MEMO = _Memo()
-
-
-def _init_worker() -> None:
-    """Worker initializer: install a fresh process-local memo.
-
-    With the default ``fork`` start method the worker inherits the
-    parent's memo contents at pool-creation time (a free warm start); a
-    ``spawn`` context starts empty.  Either way the memo is per-process
-    afterwards, so workers never contend on shared state.
-    """
-    global _MEMO
-    if _MEMO is None:  # pragma: no cover - spawn-context safety net
-        _MEMO = _Memo()
 
 
 def _run_job(job) -> tuple[SimulationResult, float]:
@@ -324,34 +308,27 @@ def _run_job(job) -> tuple[SimulationResult, float]:
     return result, time.process_time() - cpu_start
 
 
-def _run_chunk(chunk: Sequence[tuple[int, SimJob, int, float]],
-               plan: FaultPlan | None = None):
-    """Worker entry point: run a chunk of (index, job, attempt, delay)
-    items.
+def _run_attempt(job, index: int, attempt: int, delay_s: float,
+                 plan: FaultPlan | None = None):
+    """Worker entry point: run one attempt of job ``index``.
 
     ``delay_s`` is the retry backoff (slept in the worker so the parent's
-    drain loop never blocks); ``attempt`` feeds the fault-injection plan
-    so transient faults can clear on the retry.  Returns
-    ``(worker_pid, done, failure)`` where ``done`` is a list of
-    ``(index, result, sim_cpu_s)`` for every job that finished and
-    ``failure`` is ``None`` or ``(index, exception_repr, traceback_text)``
-    for the first job that raised.  Exceptions are shipped as text —
-    never pickled — so arbitrary worker failures survive the IPC
-    boundary; the parent retries or reports with the job's full
-    description.
+    loop never blocks); ``index`` and ``attempt`` feed the
+    fault-injection plan so transient faults can clear on the retry.
+    Returns ``(worker_pid, result, sim_cpu_s, failure)``: ``failure`` is
+    ``None``, or ``(exception_repr, traceback_text)`` with ``result``
+    ``None``.  Exceptions are shipped as text — never pickled — so
+    arbitrary worker failures survive the IPC boundary; the parent
+    retries or reports with the job's full description.
     """
-    done = []
-    for index, job, attempt, delay_s in chunk:
-        try:
-            if delay_s > 0:
-                time.sleep(delay_s)
-            apply_worker_fault(plan, index, attempt)
-            result, sim_cpu = _run_job(job)
-        except BaseException as exc:
-            return os.getpid(), done, (index, repr(exc),
-                                       traceback.format_exc())
-        done.append((index, result, sim_cpu))
-    return os.getpid(), done, None
+    try:
+        if delay_s > 0:
+            time.sleep(delay_s)
+        apply_worker_fault(plan, index, attempt)
+        result, sim_cpu = _run_job(job)
+    except BaseException as exc:
+        return os.getpid(), None, 0.0, (repr(exc), traceback.format_exc())
+    return os.getpid(), result, sim_cpu, None
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -361,19 +338,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if jobs < 1:
         raise ValueError(f"worker count must be >= 1, got {jobs}")
     return jobs
-
-
-def _chunked(items: list, chunks: int) -> list[list]:
-    """Split ``items`` into at most ``chunks`` contiguous, even pieces."""
-    chunks = max(1, min(chunks, len(items)))
-    size, extra = divmod(len(items), chunks)
-    out = []
-    start = 0
-    for i in range(chunks):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
 
 
 def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
@@ -431,7 +395,7 @@ class JobExecutor:
         self.jobs_skipped = 0
         #: Jobs that exhausted every attempt over the lifetime.
         self.jobs_failed = 0
-        #: Chunks the watchdog timed out over the lifetime.
+        #: Running jobs the watchdog timed out over the lifetime.
         self.chunk_timeouts = 0
         #: Worker pools respawned mid-batch over the lifetime.
         self.pool_respawns = 0
@@ -460,8 +424,7 @@ class JobExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs,
-                                             initializer=_init_worker)
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     def _discard_pool(self, kill: bool = False) -> None:
@@ -646,205 +609,159 @@ class JobExecutor:
     def _run_parallel(self, batch: _Batch, results: dict,
                       plan: FaultPlan | None) -> None:
         pending, report, tracker = batch.pending, batch.report, batch.tracker
-        #: In-flight future -> (the (index, job) items it is running, its
-        #: watchdog allowance in seconds).
-        in_flight: dict = {}
-        #: Items whose submission hit an already-broken pool; picked up
-        #: (and resubmitted to the respawned pool) by handle_broken_pool.
-        orphans: list = []
+        #: Jobs no worker has started, as ``(index, job)``: same-trace jobs
+        #: adjacent, so each worker builds (or memo-hits) few distinct
+        #: traces, and a retried job back at the front.  Results are
+        #: reassembled by index, so output order never depends on it.
+        queue = deque((index, job) for index, (job, _) in _by_trace(pending))
+        #: Running future -> (index, job, its watchdog deadline on the
+        #: ``time.monotonic`` clock).  At most one per worker.
+        running: dict = {}
         pids: set[int] = set()
-        last_progress = time.monotonic()
 
         spawned = self._pool is None
         pool = self._ensure_pool()
         if spawned and tracker is not None:
             tracker.pool_spawned()
 
-        def submit(items) -> None:
-            payload = [(index, job, batch.attempts[index],
-                        batch.delays[index]) for index, job in items]
-            try:
-                future = pool.submit(_run_chunk, payload, plan)
-            except BrokenProcessPool:
-                orphans.extend(items)
-                return
-            in_flight[future] = (list(items), watchdog_allowance_s(
-                len(items), self._job_ewma_s))
-            if tracker is not None:
-                tracker.chunk_dispatched(len(items))
+        def dispatch() -> None:
+            """Start queued jobs on the free workers.  A job whose submit
+            finds the pool broken stays queued, and nothing starts while
+            the pool is being replaced (``pool`` is ``None``)."""
+            if report.failures and not self.keep_going:
+                queue.clear()  # fail fast: nothing starts after a failure
+            while queue and len(running) < self.jobs and pool is not None:
+                index, job = queue[0]
+                try:
+                    future = pool.submit(_run_attempt, job, index,
+                                         batch.attempts[index],
+                                         batch.delays[index], plan)
+                except BrokenProcessPool:
+                    return
+                queue.popleft()
+                running[future] = (index, job, time.monotonic()
+                                   + watchdog_allowance_s(self._job_ewma_s))
+                if tracker is not None:
+                    tracker.chunk_dispatched()
 
-        def drain(items, chunk_result) -> list[list]:
-            """Fold one finished chunk into results/cache/report.
-
-            Returns the chunks that now need resubmitting (a retried
-            failure, plus any items the chunk never reached).  The caller
-            submits them — never this function, because after a pool
-            break the resubmission target is a *new* pool.
-            """
-            nonlocal last_progress
-            pid, done, failure = chunk_result
+        def finish(index: int, job, outcome) -> None:
+            """Fold in one finished attempt.  The freed worker gets its
+            next job before the result is written to the cache."""
+            pid, result, sim_cpu, failure = outcome
             pids.add(pid)
-            last_progress = time.monotonic()
-            stored = []
-            for index, result, sim_cpu in done:
-                self._record_success(batch, index, result, sim_cpu, results)
-                stored.append((pending[index][1], result))
-            self.cache.put_many(stored)
-            if tracker is not None and done:
-                tracker.chunk_completed(len(done), pid)
+            if failure is not None and self._retry_or_fail(batch, index,
+                                                           *failure):
+                queue.appendleft((index, job))
+            dispatch()
             if failure is None:
-                return []
-            failed_index, exc_repr, tb_text = failure
-            resubmit: list[list] = []
-            if self._retry_or_fail(batch, failed_index, exc_repr, tb_text):
-                # The retried job gets its own chunk: its backoff sleep
-                # must not delay the innocent unrun items behind it.
-                resubmit.append([(failed_index, pending[failed_index][0])])
-            elif not self.keep_going:
-                # Fail fast: don't start work that can no longer matter;
-                # chunks already running finish and are drained normally.
-                for other in in_flight:
-                    other.cancel()
-                return []
-            # Items after the failed one never ran; they carry no blame.
-            position = next(i for i, (index, _) in enumerate(items)
-                            if index == failed_index)
-            if items[position + 1:]:
-                resubmit.append(items[position + 1:])
-            return resubmit
+                self._record_success(batch, index, result, sim_cpu, results)
+                self.cache.put(pending[index][1], result)
+                if tracker is not None:
+                    tracker.chunk_completed(pid)
 
-        def recover(resubmit: list[list], lost: list, cause: str,
-                    tb_text: str) -> None:
-            """Carry on after the pool was discarded: respawn it, resubmit
-            ``resubmit``, and retry each ``lost`` job in its own chunk (a
-            repeat offender then only takes itself down) — or, past the
-            respawn budget, fail all of them."""
+        def triage() -> list:
+            """Detach every running job from a pool about to be discarded:
+            fold in the ones that finished, and return the others as
+            ``(index, job, deadline)``."""
+            nonlocal pool
+            pool = None
+            unfinished = []
+            for future, (index, job, deadline) in list(running.items()):
+                try:
+                    outcome = future.result(timeout=0)
+                except Exception:
+                    unfinished.append((index, job, deadline))
+                else:
+                    finish(index, job, outcome)
+            running.clear()
+            return unfinished
+
+        def recover(lost: list, cause: str, tb_text: str) -> None:
+            """Carry on after the pool was discarded: respawn it and retry
+            each ``lost`` job — or, past the respawn budget, fail every
+            unfinished job."""
             nonlocal pool
             if report.pool_respawns >= POOL_RESPAWN_BUDGET:
                 error = "worker pool respawn budget exhausted"
-                for index, _ in lost + [item for chunk in resubmit
-                                        for item in chunk]:
+                for index, _ in lost + list(queue):
                     self._fail(batch, index, error,
                                f"{error} after: {tb_text}")
+                queue.clear()
                 return
             self.pool_respawns += 1
             report.pool_respawns += 1
             pool = self._ensure_pool()
             if tracker is not None:
                 tracker.pool_respawned()
-            for chunk_items in resubmit:
-                submit(chunk_items)
             for index, job in lost:
                 if self._retry_or_fail(batch, index, cause, tb_text):
-                    submit([(index, job)])
+                    queue.appendleft((index, job))
 
         def handle_broken_pool(exc: BaseException) -> None:
-            """Drain what survived a worker death, then recover — or,
-            failing fast, re-raise.
-
-            When a worker dies the pool marks *every* outstanding future
-            broken, so in-flight chunks split cleanly into those that
-            returned a result before the death and those whose work is
-            lost.
-            """
-            lost: list = list(orphans)
-            orphans.clear()
-            resubmit: list[list] = []
-            for future, (items, _) in list(in_flight.items()):
-                del in_flight[future]
-                if future.cancelled():
-                    continue
-                try:
-                    chunk_result = future.result(timeout=0)
-                except Exception:
-                    lost.extend(items)
-                    continue
-                resubmit.extend(drain(items, chunk_result))
+            """A worker died, and the pool failed every running job with
+            it: fold in the jobs that finished first, charge the rest an
+            attempt, and recover — or, failing fast, re-raise."""
+            lost = [(index, job) for index, job, _ in triage()]
             self._discard_pool()
             if tracker is not None:
                 tracker.pool_broken()
             if not self.keep_going:
-                # Everything drained so far is already in the cache —
-                # that is the resumability guarantee — but the pool is
-                # unusable; the next run() starts a fresh one.
+                # Every finished job is already in the cache — that is
+                # the resumability guarantee — but the pool is unusable;
+                # the next run() starts a fresh one.
                 raise exc
             cause = "worker process died"
-            recover(resubmit, lost, cause, f"{cause}; no worker-side "
-                    "traceback is available for a dead worker\n")
+            recover(lost, cause, f"{cause}; no worker-side traceback is "
+                    "available for a dead worker\n")
 
-        def handle_watchdog() -> None:
-            """Kill the stalled pool, count each overdue chunk as a
-            timeout, and recover: overdue jobs are retried, every other
-            in-flight chunk is resubmitted unchanged."""
-            now = time.monotonic()
-            overdue: list = []
-            resubmit: list[list] = []
-            for future, (items, allowed) in list(in_flight.items()):
-                del in_flight[future]
-                if future.cancelled():
-                    continue
-                if future.done():
-                    # Completed in the window between wait() and here.
-                    try:
-                        chunk_result = future.result(timeout=0)
-                    except Exception:
-                        pass  # fall through: treat as lost work
-                    else:
-                        resubmit.extend(drain(items, chunk_result))
-                        continue
-                if now - last_progress >= allowed:
-                    overdue.append(items)
+        def handle_watchdog(now: float) -> None:
+            """Kill the hung pool, count each overdue job as a timeout,
+            and recover: overdue jobs are retried, and the other jobs the
+            kill interrupts are requeued without being charged."""
+            overdue = []
+            for index, job, deadline in triage():
+                if now >= deadline:
+                    overdue.append((index, job))
                 else:
-                    resubmit.append(items)
+                    queue.appendleft((index, job))
             self._discard_pool(kill=True)
-            for items in overdue:
+            for _ in overdue:
                 self.chunk_timeouts += 1
                 report.chunk_timeouts += 1
                 if tracker is not None:
-                    tracker.chunk_timeout(len(items))
-            cause = "chunk exceeded the watchdog deadline"
-            recover(resubmit, [item for items in overdue for item in items],
-                    cause, f"{cause}; the worker was killed\n")
+                    tracker.chunk_timeout()
+            cause = "job exceeded the watchdog deadline"
+            recover(overdue, cause, f"{cause}; the worker was killed\n")
 
-        # Group same-trace jobs into the same chunk so each worker builds
-        # (or memo-hits) as few distinct traces as possible, then split
-        # into ~CHUNKS_PER_WORKER x workers chunks.  The grouping is a
-        # deterministic reorder of *execution*; returned results are
-        # reassembled by index, so output order never changes.
-        tasks = [(index, job) for index, (job, _) in _by_trace(pending)]
-        for chunk in _chunked(tasks, CHUNKS_PER_WORKER * self.jobs):
-            submit(chunk)
         try:
-            while in_flight or orphans:
-                if not in_flight:
-                    # Submissions bounced off a broken pool and nothing
-                    # is left to drain: respawn and resubmit them.
-                    handle_broken_pool(
-                        BrokenProcessPool("pool broke during resubmission"))
-                    continue
-                stall_s = min(allowed for _, allowed in in_flight.values())
-                done, _ = wait(set(in_flight), timeout=max(
-                    0.05, last_progress + stall_s - time.monotonic()),
-                    return_when=FIRST_COMPLETED)
-                broken: BaseException | None = None
-                for future in done:
-                    entry = in_flight.pop(future)
-                    if future.cancelled():
-                        continue
-                    try:
-                        for chunk_items in drain(entry[0], future.result()):
-                            submit(chunk_items)
-                    except BrokenProcessPool as exc:
-                        # A worker died (OOM-kill, crash, os._exit); the
-                        # sibling futures are doomed too — handle them
-                        # all at once.
-                        in_flight[future] = entry  # hand back for triage
-                        broken = exc
+            while True:
+                dispatch()
+                if not running:
+                    if not queue:
                         break
-                if broken is not None:
-                    handle_broken_pool(broken)
-                elif not done and time.monotonic() - last_progress >= stall_s:
-                    handle_watchdog()
+                    # Every submit found the pool broken, and no running
+                    # job is left to report the break.
+                    handle_broken_pool(
+                        BrokenProcessPool("worker pool broke while idle"))
+                    continue
+                deadline = min(entry[2] for entry in running.values())
+                done, _ = wait(running, timeout=max(
+                    0.0, deadline - time.monotonic()),
+                    return_when=FIRST_COMPLETED)
+                for future in done:
+                    index, job, _ = running[future]
+                    try:
+                        outcome = future.result()
+                    except BrokenProcessPool as exc:
+                        # A worker died (OOM kill, crash, os._exit) and
+                        # took every running job with it.
+                        handle_broken_pool(exc)
+                        break
+                    del running[future]
+                    finish(index, job, outcome)
+                now = time.monotonic()
+                if any(now >= entry[2] for entry in running.values()):
+                    handle_watchdog(now)
         finally:
             self.last_worker_pids = frozenset(pids)
 

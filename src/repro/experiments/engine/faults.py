@@ -132,7 +132,7 @@ class FaultPlan:
     """An ordered collection of :class:`FaultSpec` injections.
 
     Frozen and picklable: the executor ships the active plan to worker
-    processes alongside each chunk, so matching never depends on worker
+    processes alongside each job, so matching never depends on worker
     environment inheritance (``spawn`` contexts work too).
     """
 

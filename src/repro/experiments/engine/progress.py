@@ -21,10 +21,12 @@ Event kinds (the ``kind`` field of every :class:`ProgressEvent`):
     ``cache_hits`` were answered from the result cache and ``pending``
     will actually simulate.
 ``chunk-dispatched``
-    A chunk of jobs was submitted to the worker pool (parallel path).
+    A job was submitted to a free worker (parallel path).
 ``chunk-completed`` / ``job-completed``
-    Work finished and its results were written to the cache: a whole
-    chunk (parallel, carries ``worker_pid``) or one job (serial path).
+    A job finished and its result was written to the cache: on the
+    parallel path (carries ``worker_pid``) or the serial path.  The
+    ``chunk-*`` names are kept for schema-1 readers; ``chunk_size`` is
+    always 1.
 ``job-failed``
     A job raised and exhausted its attempts; ``error`` carries the
     exception repr and ``job`` the failing job's description.  Emitted
@@ -38,8 +40,8 @@ Event kinds (the ``kind`` field of every :class:`ProgressEvent`):
     A job exhausted its attempts under ``keep_going`` and is being
     dropped from the batch's results.
 ``chunk-timeout``
-    The hung-worker watchdog timed a chunk out (``chunk_size`` jobs
-    affected); each of its jobs is then retried or fails.
+    The hung-worker watchdog timed a running job out; the job is then
+    retried or fails.
 ``pool-spawned`` / ``pool-broken`` / ``pool-respawned``
     Worker-pool lifecycle: a fresh pool came up (``workers`` count), the
     pool died underneath a batch (a worker was killed), or a replacement
@@ -86,11 +88,11 @@ class ProgressEvent:
     eta_s: float | None = None
     #: Worker-process count of the executor.
     workers: int = 1
-    #: Chunk ordinal (dispatch/completion events on the parallel path).
+    #: Dispatch ordinal of a ``chunk-dispatched`` event in its batch.
     chunk: int | None = None
-    #: Jobs in the chunk (chunk events) or completed job count delta.
+    #: Jobs a dispatch, completion or timeout event covers: always 1.
     chunk_size: int | None = None
-    #: PID of the worker that produced a completed chunk.
+    #: PID of the worker that completed a job (parallel path).
     worker_pid: int | None = None
     #: Exception repr for ``job-failed``/``job-retried``/``job-skipped``.
     error: str | None = None
@@ -147,7 +149,7 @@ class StderrLineSink(ProgressSink):
         elif event.kind == "job-skipped":
             parts.append(f"SKIPPED: {event.error}")
         elif event.kind == "chunk-timeout":
-            parts.append(f"watchdog: chunk of {event.chunk_size} timed out")
+            parts.append("watchdog: a job timed out")
         elif event.kind == "pool-broken":
             parts.append("worker pool broken; respawning")
         elif event.kind == "pool-respawned":
@@ -257,13 +259,13 @@ class BatchProgress:
     def batch_start(self) -> None:
         self._emit("batch-start")
 
-    def chunk_dispatched(self, size: int) -> None:
+    def chunk_dispatched(self) -> None:
         self._chunks += 1
-        self._emit("chunk-dispatched", chunk=self._chunks, chunk_size=size)
+        self._emit("chunk-dispatched", chunk=self._chunks, chunk_size=1)
 
-    def chunk_completed(self, size: int, worker_pid: int) -> None:
-        self.done += size
-        self._emit("chunk-completed", chunk_size=size, worker_pid=worker_pid)
+    def chunk_completed(self, worker_pid: int) -> None:
+        self.done += 1
+        self._emit("chunk-completed", chunk_size=1, worker_pid=worker_pid)
 
     def job_completed(self) -> None:
         self.done += 1
@@ -280,8 +282,8 @@ class BatchProgress:
     def job_skipped(self, error: str, job_description: str) -> None:
         self._emit("job-skipped", error=error, job=job_description)
 
-    def chunk_timeout(self, size: int) -> None:
-        self._emit("chunk-timeout", chunk_size=size)
+    def chunk_timeout(self) -> None:
+        self._emit("chunk-timeout", chunk_size=1)
 
     def pool_spawned(self) -> None:
         self._emit("pool-spawned")

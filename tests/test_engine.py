@@ -16,7 +16,6 @@ from repro.cpu.core import COMPILED_TRACE_CAPACITY, compile_trace
 from repro.experiments import engine
 from repro.experiments.engine import (JobExecutionError, JobExecutor,
                                       ResultCache, SimJob, cache_salt)
-from repro.experiments.engine.executor import _chunked
 from repro.experiments.engine.spec import ExperimentScale
 from repro.experiments.figures import (figure7_single_core,
                                        figure8_multicore,
@@ -38,7 +37,7 @@ class PoisonJob:
     ``trace_signature()``, ``config_signature()``, ``workload_name``,
     ``build_config()``, ``build_traces()``, ``describe()`` — without being
     a real :class:`SimJob`.  The ``zzz`` signature prefix sorts it after
-    every real job, so real chunks run (and cache) first.
+    every real job, so real jobs are dispatched (and cached) first.
     """
 
     name: str = "poison"
@@ -402,19 +401,6 @@ class TestWarmPool:
         assert compile_trace.cache_info().misses == len(names)
 
 
-class TestChunking:
-    def test_even_contiguous_split(self):
-        assert _chunked([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
-        assert _chunked([1, 2, 3], 8) == [[1], [2], [3]]
-        assert _chunked([1, 2, 3, 4], 1) == [[1, 2, 3, 4]]
-
-    def test_split_preserves_order_and_items(self):
-        items = list(range(23))
-        chunks = _chunked(items, 7)
-        assert len(chunks) == 7
-        assert [x for chunk in chunks for x in chunk] == items
-
-
 class TestWorkerFailures:
     def test_serial_failure_names_the_job(self):
         executor = JobExecutor(jobs=1)
@@ -432,9 +418,9 @@ class TestWorkerFailures:
         message = str(excinfo.value)
         assert "'kind': 'poison'" in message
         assert "this job is poisoned" in message  # worker traceback shipped
-        # The poison job sorts into the last chunk, so every real job's
-        # chunk was dispatched first and its results reached the cache
-        # before the failure was raised.
+        # The poison job sorts last, so every real job was dispatched
+        # first; fail-fast lets running jobs finish, so every result
+        # reached the cache before the failure was raised.
         survivors = ResultCache(tmp_path)
         assert all(survivors.get(job.key()) is not None for job in jobs)
 
@@ -446,12 +432,12 @@ class TestWorkerFailures:
             executor.run([*jobs, PoisonJob(exit_code=1)])
         assert not executor.pool_active  # broken pool was discarded
 
-        # Completion-order caching: everything drained before the worker
-        # died is on disk.  Only the chunk in flight on the surviving
-        # worker can be lost.
+        # Completion-order caching: every job that finished before the
+        # worker died is on disk.  The poison job sorts last, so only the
+        # job running beside it on the other worker can be lost.
         cached = sum(ResultCache(tmp_path).get(job.key()) is not None
                      for job in jobs)
-        assert cached >= len(jobs) - 2
+        assert cached >= len(jobs) - 1
 
         # Re-running the sweep simulates only what never finished ...
         resume = JobExecutor(cache=ResultCache(tmp_path), jobs=2)
