@@ -7,7 +7,12 @@ that ``perfbench/run.py --seed N`` runs), each job once, and counts:
 * ``CORE_RUN`` events whose ``TraceCore.run_requests`` call issues nothing;
 * bank wake attempts (``ChannelController.wake`` trying one bank) that find
   only writes, held back because the write queue is below the drain
-  watermark.
+  watermark;
+* write arrivals that bring a channel's write backlog up to the low
+  watermark, and at each one the other banks of the channel that hold only
+  writes and have no pending wake.  From that moment FR-FCFS would issue
+  those writes, but a bank whose wake found only held writes has left the
+  wake list and is not tried again until a request for it arrives.
 
 Run from the repository root::
 
@@ -34,11 +39,14 @@ MIX_CONFIGS = ("Base", "FIGCache-Fast", "LISA-VILLA")
 
 
 def install_counters() -> dict[str, int]:
-    """Wrap the two boundaries on their classes; returns the live counts."""
+    """Wrap the boundaries on their classes; returns the live counts."""
     counts = dict.fromkeys(("core_runs", "idle_core_runs", "bank_wakes",
-                            "held_write_wakes"), 0)
+                            "held_write_wakes", "low_watermark_arrivals",
+                            "stranding_arrivals", "stranded_banks",
+                            "high_watermark_arrivals"), 0)
     waking = False
     run_requests = TraceCore.run_requests
+    enqueue = ChannelController.enqueue
     wake = ChannelController.wake
     try_schedule_bank = ChannelController._try_schedule_bank
 
@@ -47,6 +55,24 @@ def install_counters() -> dict[str, int]:
         counts["core_runs"] += 1
         counts["idle_core_runs"] += not issued
         return issued
+
+    def counted_enqueue(controller, request, now):
+        if request.is_write:
+            backlog = controller._write_count + 1
+            if backlog == controller._drain_low:
+                # Banks whose held writes FR-FCFS would now issue, but which
+                # no wake will try before a request for them arrives.
+                stranded = sum(
+                    1 for bank in controller._writes_by_bank
+                    if bank != request.flat_bank
+                    and bank not in controller._reads_by_bank
+                    and bank not in controller._wakeup_cycle)
+                counts["low_watermark_arrivals"] += 1
+                counts["stranding_arrivals"] += stranded > 0
+                counts["stranded_banks"] += stranded
+            counts["high_watermark_arrivals"] += \
+                backlog == controller._drain_high
+        return enqueue(controller, request, now)
 
     def flagged_wake(controller, now):
         nonlocal waking
@@ -71,6 +97,7 @@ def install_counters() -> dict[str, int]:
         return try_schedule_bank(controller, flat_bank, now, force_writes)
 
     TraceCore.run_requests = counted_run_requests
+    ChannelController.enqueue = counted_enqueue
     ChannelController.wake = flagged_wake
     ChannelController._try_schedule_bank = counted_try_schedule_bank
     return counts
@@ -118,6 +145,13 @@ def main() -> None:
               f"events issue nothing; {counts['held_write_wakes']} of "
               f"{counts['bank_wakes']} bank wake attempts find only writes "
               f"held below the drain watermark")
+        print(f"  the write backlog reaches the low watermark on "
+              f"{counts['low_watermark_arrivals']} arrivals; "
+              f"{counts['stranding_arrivals']} of them leave other banks "
+              f"holding only writes with no pending wake "
+              f"({counts['stranded_banks']} banks in all); the high "
+              f"watermark is reached on "
+              f"{counts['high_watermark_arrivals']} arrivals")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,13 @@ Three pattern components can be mixed:
 The mix fractions, window size, memory intensity (bubbles between memory
 instructions), and write fraction are the knobs the workload catalog
 (Table 2 equivalents) uses to define named benchmarks.
+
+A trace is a function of its configuration, seed included.  Each record
+takes its draws from one ``random.Random`` in a fixed order: the bubble
+count, the component and that component's follow-up draws, then whether it
+is a store.  A uniform choice among ``n`` values is written out as the draw
+``randrange(n)`` makes on CPython 3.11-3.13: ``getrandbits(n.bit_length())``,
+drawn again while the result is ``n`` or more.
 """
 
 from __future__ import annotations
@@ -129,34 +136,43 @@ class SyntheticTraceConfig:
 
 
 class SyntheticTraceGenerator:
-    """Deterministic generator of synthetic memory traces."""
+    """Deterministic generator of synthetic memory traces.
+
+    The records are a function of the configuration alone, and a later
+    :meth:`generate` call continues the same stream: ``generate(a)`` then
+    ``generate(b)`` returns the records of one ``generate(a + b)``.
+    """
 
     def __init__(self, config: SyntheticTraceConfig):
         config.validate()
         self._config = config
         self._rng = random.Random(config.seed)
         self._hot_segment_bases = self._build_hot_segment_bases()
-        #: Position of the window within the segment pool.
-        self._window_start = 0
-        #: Position of the iteration cursor within the window.
-        self._scan_position = 0
-        #: Remaining blocks of the current segment visit, and its state.
-        self._burst_remaining = 0
-        self._burst_segment = 0
-        self._burst_block = 0
-        #: Concurrent stream state: (base block index, blocks consumed).
-        self._streams = [self._new_stream() for _ in
-                         range(config.concurrent_streams)]
+        blocks = config.working_set_bytes // config.block_size_bytes
+        if blocks <= 0:
+            raise ValueError("the working set must hold at least one block")
+        #: Hot component: the window's position in the segment pool, the
+        #: scan position within the window, and the current segment visit
+        #: (its segment, next block, and blocks left).
+        self._hot_state = (0, 0, 0, 0, 0)
+        #: Concurrent streams: each one's start block and the blocks it has
+        #: used since, and the stream the next stream access takes.
+        self._stream_starts = []
+        self._stream_used = [0] * config.concurrent_streams
         self._next_stream = 0
+        getrandbits = self._rng.getrandbits
+        bits = blocks.bit_length()
+        for _ in range(config.concurrent_streams):
+            start = getrandbits(bits)
+            while start >= blocks:
+                start = getrandbits(bits)
+            self._stream_starts.append(start)
 
     @property
     def config(self) -> SyntheticTraceConfig:
         """The generator configuration."""
         return self._config
 
-    # ------------------------------------------------------------------
-    # Construction helpers.
-    # ------------------------------------------------------------------
     def _build_hot_segment_bases(self) -> list[int]:
         """Place each hot segment at a (row, in-row offset) location.
 
@@ -171,109 +187,113 @@ class SyntheticTraceGenerator:
         row_stride = max(1, rows_span // config.hot_rows)
         segments_per_row = max(1, config.row_size_bytes
                                // config.hot_segment_bytes)
+        getrandbits = self._rng.getrandbits
+        bits = segments_per_row.bit_length()
+        hot_rows = config.hot_rows
+        row_step = row_stride * config.row_size_bytes
+        segment_bytes = config.hot_segment_bytes
+        base_address = config.base_address
         bases = []
         for index in range(config.hot_segments):
-            row_index = (index % config.hot_rows) * row_stride
-            offset_slot = self._rng.randrange(segments_per_row)
-            base = (config.base_address
-                    + row_index * config.row_size_bytes
-                    + offset_slot * config.hot_segment_bytes)
-            bases.append(base)
+            offset_slot = getrandbits(bits)
+            while offset_slot >= segments_per_row:
+                offset_slot = getrandbits(bits)
+            bases.append(base_address + index % hot_rows * row_step
+                         + offset_slot * segment_bytes)
         return bases
 
-    def _new_stream(self) -> list[int]:
-        """Start a stream at a random block-aligned location."""
-        config = self._config
-        blocks = config.working_set_bytes // config.block_size_bytes
-        return [self._rng.randrange(blocks), 0]
-
-    # ------------------------------------------------------------------
-    # Hot (reused, scattered) component.
-    # ------------------------------------------------------------------
-    def _begin_segment_visit(self) -> None:
-        """Advance the scan to the next segment and start its burst."""
-        config = self._config
-        if self._rng.random() < config.hot_jump_probability:
-            self._scan_position = self._rng.randrange(
-                config.hot_window_segments)
-        else:
-            self._scan_position = (self._scan_position + 1) \
-                % config.hot_window_segments
-        if self._rng.random() < config.hot_window_drift:
-            self._window_start = (self._window_start + 1) % config.hot_segments
-
-        segment = (self._window_start + self._scan_position) \
-            % config.hot_segments
-        blocks_per_segment = config.hot_segment_bytes // config.block_size_bytes
-        burst = min(config.hot_burst_blocks, blocks_per_segment)
-        self._burst_segment = segment
-        self._burst_block = self._rng.randrange(
-            max(1, blocks_per_segment - burst + 1))
-        self._burst_remaining = burst
-
-    def _next_hot_address(self) -> int:
-        config = self._config
-        if self._burst_remaining <= 0:
-            self._begin_segment_visit()
-        address = (self._hot_segment_bases[self._burst_segment]
-                   + self._burst_block * config.block_size_bytes)
-        self._burst_block += 1
-        self._burst_remaining -= 1
-        return address
-
-    # ------------------------------------------------------------------
-    # Streaming component.
-    # ------------------------------------------------------------------
-    def _next_stream_address(self) -> int:
-        config = self._config
-        stream = self._streams[self._next_stream]
-        self._next_stream = (self._next_stream + 1) % len(self._streams)
-        if stream[1] >= config.stream_length_blocks:
-            stream[0] = self._new_stream()[0]
-            stream[1] = 0
-        blocks = config.working_set_bytes // config.block_size_bytes
-        block = (stream[0] + stream[1]) % blocks
-        stream[1] += 1
-        return config.base_address + block * config.block_size_bytes
-
-    # ------------------------------------------------------------------
-    # Random component.
-    # ------------------------------------------------------------------
-    def _next_random_address(self) -> int:
-        config = self._config
-        blocks = config.working_set_bytes // config.block_size_bytes
-        return config.base_address \
-            + self._rng.randrange(blocks) * config.block_size_bytes
-
-    # ------------------------------------------------------------------
-    # Trace generation.
-    # ------------------------------------------------------------------
-    def _next_address(self) -> int:
-        draw = self._rng.random()
-        config = self._config
-        if draw < config.hot_fraction:
-            return self._next_hot_address()
-        if draw < config.hot_fraction + config.stream_fraction:
-            return self._next_stream_address()
-        return self._next_random_address()
-
-    def _next_bubbles(self) -> int:
-        mean = self._config.mean_bubbles
-        if mean <= 0:
-            return 0
-        # An exponential draw keeps the bubble counts integral and
-        # non-negative while matching the requested mean; the cap avoids
-        # pathological multi-million-instruction gaps.
-        return min(int(self._rng.expovariate(1.0 / mean)), int(mean * 10))
-
     def generate(self, num_records: int) -> list[TraceRecord]:
-        """Generate ``num_records`` trace records."""
+        """Generate ``num_records`` trace records.
+
+        One loop over the draws the module docstring lists; the state is
+        kept in locals and stored back, so a later call continues it.
+        """
         if num_records < 0:
             raise ValueError("num_records must be non-negative")
+        config = self._config
+        rng = self._rng
+        random_draw = rng.random
+        expovariate = rng.expovariate
+        getrandbits = rng.getrandbits
+        mean = config.mean_bubbles
+        no_bubbles = mean <= 0
+        if not no_bubbles:
+            # An exponential draw keeps the bubble counts integral and
+            # non-negative while matching the requested mean; the cap
+            # avoids pathological multi-million-instruction gaps.  An
+            # infinite or NaN mean fails at the first record's draw.
+            rate = 1.0 / mean
+            cap = int(mean * 10) if mean < float("inf") else 0
+        hot_fraction = config.hot_fraction
+        stream_cut = config.hot_fraction + config.stream_fraction
+        write_fraction = config.write_fraction
+        base_address = config.base_address
+        block_bytes = config.block_size_bytes
+        blocks = config.working_set_bytes // block_bytes
+        block_bits = blocks.bit_length()
+        # Hot component: a visit advances the scan (or jumps), may slide
+        # the window, then bursts through a random run of the segment.
+        bases = self._hot_segment_bases
+        hot_segments = config.hot_segments
+        window = config.hot_window_segments
+        window_bits = window.bit_length()
+        jump_probability = config.hot_jump_probability
+        drift_probability = config.hot_window_drift
+        blocks_per_segment = config.hot_segment_bytes // block_bytes
+        burst = min(config.hot_burst_blocks, blocks_per_segment)
+        burst_offsets = max(1, blocks_per_segment - burst + 1)
+        offset_bits = burst_offsets.bit_length()
+        window_start, scan, segment, block, remaining = self._hot_state
+        # Streams, taken in turn; one restarts at a random block when its
+        # run is used up.
+        stream_starts = self._stream_starts
+        stream_used = self._stream_used
+        num_streams = len(stream_starts)
+        run_length = config.stream_length_blocks
+        stream = self._next_stream
+
         records = []
+        append = records.append
         for _ in range(num_records):
-            records.append(TraceRecord(
-                bubbles=self._next_bubbles(),
-                address=self._next_address(),
-                is_write=self._rng.random() < self._config.write_fraction))
+            bubbles = 0 if no_bubbles else min(int(expovariate(rate)), cap)
+            draw = random_draw()
+            if draw < hot_fraction:
+                if remaining <= 0:
+                    if random_draw() < jump_probability:
+                        scan = getrandbits(window_bits)
+                        while scan >= window:
+                            scan = getrandbits(window_bits)
+                    else:
+                        scan = (scan + 1) % window
+                    if random_draw() < drift_probability:
+                        window_start = (window_start + 1) % hot_segments
+                    segment = (window_start + scan) % hot_segments
+                    block = getrandbits(offset_bits)
+                    while block >= burst_offsets:
+                        block = getrandbits(offset_bits)
+                    remaining = burst
+                address = bases[segment] + block * block_bytes
+                block += 1
+                remaining -= 1
+            elif draw < stream_cut:
+                used = stream_used[stream]
+                if used >= run_length:
+                    start = getrandbits(block_bits)
+                    while start >= blocks:
+                        start = getrandbits(block_bits)
+                    stream_starts[stream] = start
+                    used = 0
+                stream_used[stream] = used + 1
+                address = base_address + (stream_starts[stream] + used) \
+                    % blocks * block_bytes
+                stream = (stream + 1) % num_streams
+            else:
+                index = getrandbits(block_bits)
+                while index >= blocks:
+                    index = getrandbits(block_bits)
+                address = base_address + index * block_bytes
+            append(TraceRecord(bubbles, address,
+                               random_draw() < write_fraction))
+        self._hot_state = (window_start, scan, segment, block, remaining)
+        self._next_stream = stream
         return records

@@ -1,7 +1,10 @@
 """Tests for the trace format, synthetic generators, and workload catalog."""
 
+import hashlib
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.workloads import (BENCHMARKS, SyntheticTraceGenerator, TraceRecord,
@@ -13,6 +16,79 @@ from repro.workloads.catalog import MULTITHREADED_BENCHMARKS
 from repro.workloads.multiprogram import (CORE_ADDRESS_STRIDE,
                                           make_multithreaded_workload)
 from repro.workloads.synthetic import SyntheticTraceConfig
+
+import synthetic_reference
+
+#: sha256 of the records of every catalog profile at seed offsets 0, 1 and
+#: 17 (3,000 records; offset 17 moved to base address 2**32), and of one
+#: suite mix per category (1,500 records per core).  Taken from the
+#: generator as it was before its one-loop rewrite, which is
+#: ``tests/synthetic_reference.py``; equal on CPython 3.11, 3.12 and 3.13.
+PINNED_TRACE_SHA256 = {
+    "catalog": "a20e2947c3bc1449a788eba2b1a07a962c0c3fcf26337fdb7ed4f3c25c56ccda",
+    "mixes": "d2e986e63461ec9f03e2763a616e3df05ac6ddba39c8bd89d4b63d7c9ce6a8c4",
+}
+
+
+def records_sha256(traces) -> str:
+    """sha256 over each trace's ``(bubbles, address, is_write)`` tuples."""
+    digest = hashlib.sha256()
+    for trace in traces:
+        digest.update(repr([(record.bubbles, record.address, record.is_write)
+                            for record in trace]).encode())
+    return digest.hexdigest()
+
+
+probabilities = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def trace_configs(draw) -> SyntheticTraceConfig:
+    """Random configurations, edge values included.
+
+    Fractions and probabilities at 0 and 1, ``mean_bubbles`` 0, bursts as
+    long as a segment or longer (so the burst offset is a draw among one
+    value), stream runs of a few blocks, working sets down to 0 bytes
+    (less than a block is rejected), and negative base addresses (a
+    negative record address is rejected).
+    """
+    block = draw(st.sampled_from((32, 64, 128)))
+    hot_segments = draw(st.integers(1, 300))
+    hot, stream = draw(st.one_of(
+        st.sampled_from(((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.5, 0.5))),
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+            lambda pair: (pair[0], (1.0 - pair[0]) * pair[1]))))
+    return SyntheticTraceConfig(
+        mean_bubbles=draw(st.one_of(st.just(0.0), st.floats(0.0, 400.0),
+                                    st.integers(1, 400).map(float))),
+        hot_segments=hot_segments,
+        hot_segment_bytes=block * draw(st.sampled_from((1, 2, 5, 8, 16, 24))),
+        hot_rows=draw(st.integers(1, 300)),
+        hot_window_segments=draw(st.integers(1, hot_segments)),
+        hot_window_drift=draw(probabilities),
+        hot_jump_probability=draw(probabilities),
+        hot_burst_blocks=draw(st.integers(1, 32)),
+        hot_fraction=hot,
+        stream_fraction=stream,
+        random_fraction=1.0 - hot - stream,
+        concurrent_streams=draw(st.integers(1, 8)),
+        stream_length_blocks=draw(st.one_of(st.integers(1, 4),
+                                            st.integers(1, 1024))),
+        working_set_bytes=draw(st.integers(0, 1 << 30)),
+        write_fraction=draw(probabilities),
+        block_size_bytes=block,
+        row_size_bytes=block * draw(st.integers(1, 256)),
+        base_address=draw(st.one_of(st.just(0),
+                                    st.integers(-(1 << 12), 1 << 40))),
+        seed=draw(st.integers(0, 1 << 32)))
+
+
+@st.composite
+def split_lengths(draw) -> list[int]:
+    """Up to 2,000 records, asked for in one to three calls."""
+    total = draw(st.integers(0, 2000))
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=2)))
+    return [end - start for start, end in zip([0] + cuts, cuts + [total])]
 
 
 class TestTraceRecord:
@@ -100,6 +176,45 @@ class TestSyntheticGenerator:
     def test_generate_length(self, n):
         trace = SyntheticTraceGenerator(SyntheticTraceConfig(seed=1)).generate(n)
         assert len(trace) == n
+
+
+class TestPinnedOutput:
+    """The generator's records, pinned against its pre-rewrite form."""
+
+    def test_catalog_and_mix_traces_match_pinned_digests(self):
+        specs = list(BENCHMARKS.values()) \
+            + list(MULTITHREADED_BENCHMARKS.values())
+        catalog = [spec.make_trace(3000, seed_offset=offset,
+                                   base_address=base)
+                   for spec in specs
+                   for offset, base in ((0, None), (1, None), (17, 1 << 32))]
+        mixes = [trace for mix in make_workload_suite(mixes_per_category=1)
+                 for trace in mix.make_traces(1500)]
+        assert {"catalog": records_sha256(catalog),
+                "mixes": records_sha256(mixes)} == PINNED_TRACE_SHA256
+
+    @given(trace_configs(), split_lengths())
+    # Configurations ``validate`` accepts but the generator rejects: a
+    # working set smaller than one block, and an infinite or NaN mean.
+    @example(SyntheticTraceConfig(working_set_bytes=32), [10])
+    @example(SyntheticTraceConfig(mean_bubbles=math.inf), [0, 10])
+    @example(SyntheticTraceConfig(mean_bubbles=math.nan), [0, 10])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_generator(self, config, lengths):
+        # Each side's outcome: the records of every call, up to the first
+        # exception, and that exception's type.
+        outcomes = []
+        for generator_class in (synthetic_reference.SyntheticTraceGenerator,
+                                SyntheticTraceGenerator):
+            outcome = []
+            try:
+                generator = generator_class(config)
+                for length in lengths:
+                    outcome.append(generator.generate(length))
+            except Exception as exc:
+                outcome.append(type(exc))
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1]
 
 
 class TestCatalog:
