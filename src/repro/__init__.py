@@ -27,6 +27,7 @@ The package is organised as:
   them from the command line (see ``docs/experiments.md``).
 """
 
+#: The package version; pyproject.toml reads it from here.
 __version__ = "1.2.0"
 
 __all__ = ["__version__"]

@@ -247,7 +247,6 @@ def _cmd_cache(args) -> int:
         print(f"cache directory : {cache.directory}")
         print(f"entries checked : {report['checked']}")
         print(f"ok              : {report['ok']}")
-        print(f"legacy (no sum) : {report['legacy']}")
         print(f"stale salt      : {report['stale_salt']}")
         print(f"corrupt         : {len(report['corrupt'])}")
         for key in report["corrupt"]:

@@ -136,11 +136,6 @@ class FIGCache(CachingMechanism):
         return self._dram
 
     @property
-    def segments_per_cache_row(self) -> int:
-        """Row segments that fit in one cache row."""
-        return self._segments_per_source_row
-
-    @property
     def segments_per_source_row(self) -> int:
         """Row segments per source (regular) DRAM row."""
         return self._segments_per_source_row

@@ -112,7 +112,3 @@ class CachingMechanism(abc.ABC):
 
         Relocation cycles are summed in :attr:`stats`, not returned.
         """
-
-    def reset_stats(self) -> None:
-        """Clear accumulated statistics (cache contents are kept)."""
-        self.stats = MechanismStats()

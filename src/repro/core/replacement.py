@@ -59,11 +59,6 @@ class RowBenefitReplacement(ReplacementPolicy):
         """Cache row currently marked for draining (None when idle)."""
         return self._eviction_row
 
-    @property
-    def marked_slots(self) -> frozenset[int]:
-        """Slots of the eviction row still pending eviction."""
-        return frozenset(self._marked_slots)
-
     def choose_victim(self) -> int:
         if not self._marked_slots:
             self._select_new_eviction_row()

@@ -177,11 +177,6 @@ class TraceCore:
         return self._core_cycle
 
     @property
-    def outstanding_misses(self) -> int:
-        """Number of LLC load misses still waiting for data."""
-        return len(self._outstanding)
-
-    @property
     def trace_length(self) -> int:
         """Number of records in the core's trace."""
         return len(self._trace)

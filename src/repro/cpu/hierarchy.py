@@ -157,16 +157,3 @@ class CacheHierarchy:
                                  dirty=True, writebacks=writebacks)
             else:
                 writebacks.append(result.writeback_address)
-
-    @property
-    def llc_mpki_denominator(self) -> int:
-        """Total hierarchy accesses (used to sanity-check workload MPKI)."""
-        return self.accesses
-
-    def miss_rates(self) -> dict[str, float]:
-        """Hit/miss summary per level."""
-        return {
-            "L1": 1.0 - self.l1.hit_rate,
-            "L2": 1.0 - self.l2.hit_rate,
-            "LLC": 1.0 - self.llc.hit_rate,
-        }

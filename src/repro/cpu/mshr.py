@@ -45,10 +45,6 @@ class MSHRFile:
     def _block(self, address: int) -> int:
         return address >> self._offset_bits
 
-    def has_entry(self, address: int) -> bool:
-        """True when a miss to this block is already outstanding."""
-        return self._block(address) in self.entries
-
     def allocate(self, address: int) -> bool:
         """Track a miss to ``address``.
 

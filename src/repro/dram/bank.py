@@ -123,15 +123,6 @@ class Bank:
             return self._fast
         return self._slow
 
-    def earliest_start(self, now: int, row: int) -> int:
-        """Earliest cycle an access to ``row`` could begin (for scheduling)."""
-        start = max(now, self._busy_until)
-        if self.open_row == row:
-            return max(start, self._next_col_allowed)
-        if self.open_row is None:
-            return max(start, self._next_act_allowed)
-        return max(start, self._next_pre_allowed)
-
     # ------------------------------------------------------------------
     # Demand accesses.
     # ------------------------------------------------------------------

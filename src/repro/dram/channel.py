@@ -140,10 +140,6 @@ class Channel:
             start, source_row, destination_row, transfer_cycles, 0,
             keep_source_open)
 
-    def earliest_start(self, now: int, flat_bank: int, row: int) -> int:
-        """Earliest cycle an access could start (used by the scheduler)."""
-        return self._banks[flat_bank].earliest_start(now, row)
-
     # ------------------------------------------------------------------
     # Refresh handling.
     # ------------------------------------------------------------------

@@ -29,11 +29,3 @@ class Command(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-#: Commands that transfer data over the channel data bus.
-DATA_COMMANDS = frozenset({Command.READ, Command.WRITE})
-
-#: Commands that operate purely inside the DRAM chip (no channel data).
-INTERNAL_COMMANDS = frozenset({Command.ACTIVATE, Command.PRECHARGE,
-                               Command.REFRESH, Command.RELOC})

@@ -129,11 +129,6 @@ class DRAMConfig:
         """Addressable capacity of one channel in bytes."""
         return self.bank_capacity_bytes * self.banks_per_channel
 
-    @property
-    def total_capacity_bytes(self) -> int:
-        """Addressable capacity of the whole memory system in bytes."""
-        return self.channel_capacity_bytes * self.channels
-
     # ------------------------------------------------------------------
     # Timing sets.
     # ------------------------------------------------------------------

@@ -108,28 +108,23 @@ class CommandCounters:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CommandCounters":
-        """Rebuild counters from :meth:`to_dict` output.
-
-        Counter fields newer than the payload fall back to zero, so cached
-        JSON written by an older code version still loads.
-        """
+        """Rebuild counters from :meth:`to_dict` output."""
         counts = {(tuple(bank_key), row): count
-                  for bank_key, row, count
-                  in data.get("row_activation_counts", [])}
+                  for bank_key, row, count in data["row_activation_counts"]}
         return cls(
-            activates=data.get("activates", 0),
-            precharges=data.get("precharges", 0),
-            reads=data.get("reads", 0),
-            writes=data.get("writes", 0),
-            refreshes=data.get("refreshes", 0),
-            relocs=data.get("relocs", 0),
-            fast_activates=data.get("fast_activates", 0),
-            fast_reads=data.get("fast_reads", 0),
-            fast_writes=data.get("fast_writes", 0),
-            row_hits=data.get("row_hits", 0),
-            row_misses=data.get("row_misses", 0),
-            row_conflicts=data.get("row_conflicts", 0),
-            track_row_activations=data.get("track_row_activations", False),
+            activates=data["activates"],
+            precharges=data["precharges"],
+            reads=data["reads"],
+            writes=data["writes"],
+            refreshes=data["refreshes"],
+            relocs=data["relocs"],
+            fast_activates=data["fast_activates"],
+            fast_reads=data["fast_reads"],
+            fast_writes=data["fast_writes"],
+            row_hits=data["row_hits"],
+            row_misses=data["row_misses"],
+            row_conflicts=data["row_conflicts"],
+            track_row_activations=data["track_row_activations"],
             row_activation_counts=counts,
         )
 

@@ -130,11 +130,6 @@ class SystemEnergyModel:
         """The energy parameters in use."""
         return self._params
 
-    @property
-    def dram_model(self) -> DRAMEnergyModel:
-        """The DRAM energy sub-model."""
-        return self._dram_model
-
     def energy(self, activity: SystemActivity) -> SystemEnergyBreakdown:
         """Compute the per-component energy for one simulation."""
         params = self._params

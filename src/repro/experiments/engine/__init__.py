@@ -8,7 +8,7 @@ incrementally re-runnable work:
   hashes to a stable content-addressed key.
 * :mod:`repro.experiments.engine.cache` — :class:`ResultCache`, a
   memory + optional on-disk store of :class:`SimulationResult` objects
-  keyed by job digest and salted with the code version.
+  keyed by job digest and salted with a fingerprint of the model source.
 * :mod:`repro.experiments.engine.executor` — :class:`JobExecutor` fans
   cache-missing jobs across worker processes (``ProcessPoolExecutor``)
   with a deterministic serial fallback.
@@ -39,13 +39,11 @@ from repro.experiments.engine.progress import (PROGRESS_SCHEMA_VERSION,
                                                CallbackSink, JsonlFileSink,
                                                ProgressEvent, ProgressSink,
                                                StderrLineSink, TeeSink)
-from repro.experiments.engine.spec import (CACHE_SCHEMA_VERSION,
-                                           ExperimentScale, SimJob)
+from repro.experiments.engine.spec import ExperimentScale, SimJob
 
 __all__ = [
     "BatchReport",
     "CACHE_DIR_ENV",
-    "CACHE_SCHEMA_VERSION",
     "COMPRESS_MIN_BYTES",
     "CacheStats",
     "CallbackSink",

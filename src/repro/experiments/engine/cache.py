@@ -8,20 +8,19 @@ in-memory key index — loaded from one directory scan per process — makes
 ``get()`` misses, ``stats()``, and repeated lookups pure memory
 operations instead of per-call filesystem traffic.
 
-Each file records the salt (cache schema version + package version) it was
-written with; entries whose salt no longer matches are treated as misses,
-so a code upgrade invalidates stale results instead of replaying them.
+Each file records the salt it was written with, :func:`cache_salt`: a
+SHA-256 over the source of every module that decides a simulated result
+(:func:`model_fingerprint`).  An entry with another salt was written by
+another model, so it is a miss and the job re-simulates instead of
+replaying it.
 
-Integrity: fresh entries carry a checksum envelope — the byte length and
-SHA-256 of the canonical result JSON — verified on every load.  An entry
-that fails to decode or checksum is *corrupt* (torn write, bit rot), not
-merely stale: the file is moved into ``<cache>/quarantine/`` (preserving
-the evidence while getting it off the lookup path), counters
+Integrity: every entry carries the byte length and SHA-256 of the
+canonical result JSON, verified on every load.  An entry that fails to
+decode or checksum is *corrupt* (torn write, bit rot), not merely stale:
+the file is moved into ``<cache>/quarantine/`` (preserving the evidence
+while getting it off the lookup path), counters
 (``decode_failures``/``quarantined``) tick in :meth:`ResultCache.stats`,
 and the caller sees a plain miss, so the job simply re-executes.
-Envelope-less entries written before this scheme remain readable —
-the envelope is versioned inside the payload precisely so its
-introduction did not salt-invalidate every existing shard.
 :meth:`ResultCache.verify` (CLI: ``python -m repro cache verify``) scans
 every shard offline and optionally quarantines what it finds.
 
@@ -33,6 +32,7 @@ figure runs incremental across processes.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import hashlib
 import json
@@ -44,7 +44,6 @@ from typing import Iterable
 
 import repro
 from repro.experiments.engine import faults as faults_mod
-from repro.experiments.engine.spec import CACHE_SCHEMA_VERSION
 from repro.sim.metrics import SimulationResult
 
 #: Environment variable selecting the default persistent cache directory.
@@ -58,25 +57,55 @@ COMPRESS_MIN_BYTES = 32 * 1024
 #: Hex characters of the key used as the shard directory name.
 _SHARD_CHARS = 2
 
-#: Version of the checksum envelope written into fresh entries.  Lives
-#: inside the payload — deliberately *not* part of the cache salt, so
-#: introducing (or evolving) the envelope never invalidates old entries.
-ENVELOPE_VERSION = 1
-
 #: Directory (under the cache root) corrupt shard files are moved into.
 #: Longer than ``_SHARD_CHARS``, so the index scan never looks inside.
 QUARANTINE_DIR = "quarantine"
 
+#: Modules of the ``repro`` package, as paths relative to it, that only
+#: schedule, store or print results, so :func:`model_fingerprint` leaves
+#: them out.  Every other module decides results, one added later too.
+NOT_MODEL_MODULES = frozenset({
+    "__main__.py",
+    "cli.py",
+    "experiments/__init__.py",
+    "experiments/figures.py",
+    "experiments/runner.py",
+    "experiments/static.py",
+    "experiments/engine/__init__.py",
+    "experiments/engine/cache.py",
+    "experiments/engine/executor.py",
+    "experiments/engine/faults.py",
+    "experiments/engine/progress.py",
+})
+
 
 def _canonical_result_bytes(result_dict: dict) -> bytes:
-    """The canonical byte form of a result dict the envelope covers."""
+    """The canonical byte form of a result dict the checksum covers."""
     return json.dumps(result_dict, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
 
 
+def model_fingerprint(root: Path) -> str:
+    """SHA-256 over the relative path and bytes of every ``*.py`` module
+    under ``root``, the ``repro`` package directory, in path order, minus
+    :data:`NOT_MODEL_MODULES`.  Editing any model module, a docstring
+    included, changes it."""
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(root).as_posix()
+                       for path in root.rglob("*.py")):
+        if name in NOT_MODEL_MODULES:
+            continue
+        data = (root / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
 def cache_salt() -> str:
-    """Salt mixed into every persisted entry (schema + code version)."""
-    return f"{CACHE_SCHEMA_VERSION}:{repro.__version__}"
+    """Salt written into every persisted entry: the fingerprint of this
+    process's model source, computed on first use."""
+    return model_fingerprint(Path(repro.__file__).parent)
 
 
 def default_cache_dir() -> Path:
@@ -221,7 +250,6 @@ class ResultCache:
         result_dict = result.to_dict()
         canonical = _canonical_result_bytes(result_dict)
         payload = {"salt": cache_salt(), "key": key,
-                   "envelope": ENVELOPE_VERSION,
                    "length": len(canonical),
                    "sha256": hashlib.sha256(canonical).hexdigest(),
                    "result": result_dict}
@@ -241,14 +269,15 @@ class ResultCache:
         tmp.replace(path)
         self.index()[key] = (path, len(data))
 
-    def _read_payload(self, path: Path) -> dict:
-        """Read, decode, and checksum-verify one entry file.
+    def _read(self, path: Path) -> SimulationResult | None:
+        """Read one entry file: its result, or ``None`` when it is stale.
 
-        Raises :class:`CorruptEntryError` for anything that is provably
-        damage rather than staleness: undecodable bytes (torn write), a
-        non-dict payload, or an envelope whose length/SHA-256 no longer
-        matches the result (bit rot).  ``OSError`` propagates — an
-        unreadable file is a miss, not corruption.
+        In order: undecodable bytes or a non-object payload are corrupt;
+        a salt other than :func:`cache_salt` is stale, a plain miss that
+        is never quarantined; a missing or mismatched ``length`` or
+        ``sha256``, or a result ``from_dict`` cannot rebuild, is corrupt.
+        Corruption raises :class:`CorruptEntryError`.  ``OSError``
+        propagates: an unreadable file is a miss, not corruption.
         """
         data = path.read_bytes()
         try:
@@ -260,17 +289,18 @@ class ResultCache:
             raise CorruptEntryError(f"undecodable entry: {exc}") from exc
         if not isinstance(payload, dict):
             raise CorruptEntryError("entry payload is not an object")
-        if payload.get("envelope") is not None:
-            try:
-                canonical = _canonical_result_bytes(payload["result"])
-            except (KeyError, TypeError) as exc:
-                raise CorruptEntryError(
-                    f"enveloped entry has no result: {exc!r}") from exc
-            if (payload.get("length") != len(canonical)
-                    or payload.get("sha256")
-                    != hashlib.sha256(canonical).hexdigest()):
-                raise CorruptEntryError("checksum mismatch")
-        return payload
+        if payload.get("salt") != cache_salt():
+            return None
+        canonical = _canonical_result_bytes(payload.get("result"))
+        if (payload.get("length") != len(canonical)
+                or payload.get("sha256")
+                != hashlib.sha256(canonical).hexdigest()):
+            raise CorruptEntryError("checksum mismatch")
+        try:
+            return SimulationResult.from_dict(payload["result"])
+        except (KeyError, TypeError) as exc:
+            raise CorruptEntryError(
+                f"result cannot be rebuilt: {exc!r}") from exc
 
     def _quarantine(self, key: str, path: Path) -> None:
         """Move a corrupt entry into ``<cache>/quarantine/`` and drop it
@@ -299,21 +329,12 @@ class ResultCache:
             return None
         path, _ = entry
         try:
-            payload = self._read_payload(path)
+            # A stale entry reads as None: it is re-stored with the
+            # current salt the next time its job runs.
+            return self._read(path)
         except OSError:
             return None
         except CorruptEntryError:
-            self._decode_failures += 1
-            self._quarantine(key, path)
-            return None
-        if payload.get("salt") != cache_salt():
-            # Stale, not damaged: a plain miss (the entry is re-stored
-            # with the current salt the next time the job runs).
-            return None
-        try:
-            return SimulationResult.from_dict(payload["result"])
-        except (KeyError, TypeError):
-            # Current salt but unreconstructable: structural damage.
             self._decode_failures += 1
             self._quarantine(key, path)
             return None
@@ -346,22 +367,21 @@ class ResultCache:
         """Scan every disk entry; classify, and optionally quarantine.
 
         Returns a report dict: ``checked`` (entries examined), ``ok``
-        (enveloped and checksum-clean), ``legacy`` (readable but written
-        before the checksum envelope), ``stale_salt`` (readable but from
-        another schema/code version), ``corrupt`` (list of damaged keys),
-        and ``quarantined`` (files moved — nonzero only with
-        ``repair=True``; without it corrupt files are left in place so a
-        dry run stays side-effect free).
+        (current salt, checksum-clean and rebuildable), ``stale_salt``
+        (written with another salt: a miss, never quarantined),
+        ``corrupt`` (list of damaged keys), and ``quarantined`` (files
+        moved — nonzero only with ``repair=True``; without it corrupt
+        files are left in place so a dry run stays side-effect free).
         """
-        report: dict = {"checked": 0, "ok": 0, "legacy": 0,
-                        "stale_salt": 0, "corrupt": [], "quarantined": 0}
+        report: dict = {"checked": 0, "ok": 0, "stale_salt": 0,
+                        "corrupt": [], "quarantined": 0}
         if not self.persistent:
             return report
         self.refresh_index()
         for key, (path, _) in sorted(self.index().items()):
             report["checked"] += 1
             try:
-                payload = self._read_payload(path)
+                result = self._read(path)
             except OSError:
                 continue  # vanished mid-scan (another process cleaning)
             except CorruptEntryError:
@@ -371,22 +391,7 @@ class ResultCache:
                     self._quarantine(key, path)
                     report["quarantined"] += 1
                 continue
-            if payload.get("salt") != cache_salt():
-                report["stale_salt"] += 1
-                continue
-            try:
-                SimulationResult.from_dict(payload["result"])
-            except (KeyError, TypeError):
-                report["corrupt"].append(key)
-                if repair:
-                    self._decode_failures += 1
-                    self._quarantine(key, path)
-                    report["quarantined"] += 1
-                continue
-            if payload.get("envelope") is None:
-                report["legacy"] += 1
-            else:
-                report["ok"] += 1
+            report["stale_salt" if result is None else "ok"] += 1
         return report
 
     def stats(self) -> CacheStats:

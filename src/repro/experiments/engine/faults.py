@@ -28,7 +28,7 @@ prefix):
 * ``torn``    — write only a prefix of the payload (a partial write that
   was never completed: no atomic tmp+replace);
 * ``bitflip`` — flip one byte in the middle of the payload (silent media
-  corruption the checksum envelope must catch).
+  corruption the entry's checksum must catch).
 
 Activation: one process-wide plan, installed with :func:`install_plan`
 (test API) or read from ``REPRO_FAULT_PLAN`` — inline JSON (anything

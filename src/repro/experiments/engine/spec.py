@@ -8,10 +8,10 @@ processes, and cached.
 
 Every job hashes to a stable content-addressed :meth:`SimJob.key`: the
 digest covers the fully-built :class:`~repro.sim.config.SystemConfig`, the
-workload's trace-generator parameters, and the trace length, salted with
-the cache schema version and the package version.  Two jobs that would
-simulate byte-identical systems therefore share one cache entry, no matter
-which figure or sweep created them.
+workload's trace-generator parameters, and the trace length.  Two jobs that
+would simulate byte-identical systems therefore share one cache entry, no
+matter which figure or sweep created them.  The model code is not in the
+key: the result cache salts each entry with a fingerprint of it.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ from repro.sim.system import run_workload
 from repro.workloads.catalog import get_benchmark
 from repro.workloads.multiprogram import MultiprogrammedWorkload
 from repro.workloads.trace import TraceRecord
-
-#: Bump when the on-disk result format or the job-key recipe changes; old
-#: cache entries are then ignored instead of being misread.  Version 4:
-#: the telemetry subsystem added ``SystemConfig.telemetry`` (changing
-#: every config digest) and the optional ``telemetry`` section to
-#: serialised results.
-CACHE_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -224,7 +217,6 @@ class SimJob:
         else:
             workload_desc = asdict(self.workload)
         return {
-            "schema": CACHE_SCHEMA_VERSION,
             "kind": self.kind,
             "configuration": self.configuration,
             "config": config_digest(self.build_config()),

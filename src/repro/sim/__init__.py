@@ -13,8 +13,8 @@
 * :mod:`repro.sim.metrics` — :class:`SimulationResult` with IPC, weighted
   speedup, in-DRAM cache hit rate, row-buffer hit rate, and energy.
 * :mod:`repro.sim.telemetry` — the unified telemetry layer: per-request
-  latency distributions (exact p50/p95/p99/max), epoch-sampled time
-  series, and pluggable probes (see ``docs/telemetry.md``).
+  latency distributions (exact p50/p95/p99/max) and epoch-sampled time
+  series (see ``docs/telemetry.md``).
 """
 
 from repro.sim.config import (CONFIGURATION_NAMES, SystemConfig,

@@ -32,13 +32,6 @@ class CoreResult:
             return 0.0
         return self.instructions / self.cycles
 
-    @property
-    def mpki(self) -> float:
-        """LLC misses per kilo-instruction."""
-        if self.instructions <= 0:
-            return 0.0
-        return 1000.0 * self.llc_misses / self.instructions
-
     def to_dict(self) -> dict:
         """JSON-serialisable form (used by the persistent result cache)."""
         return {
@@ -51,16 +44,12 @@ class CoreResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoreResult":
-        """Rebuild a per-core result from :meth:`to_dict` output.
-
-        Fields newer than the payload fall back to their zero defaults, so
-        cached JSON written by an older code version still loads.
-        """
+        """Rebuild a per-core result from :meth:`to_dict` output."""
         return cls(core_id=data["core_id"],
                    instructions=data["instructions"],
                    cycles=data["cycles"],
-                   llc_misses=data.get("llc_misses", 0),
-                   memory_instructions=data.get("memory_instructions", 0))
+                   llc_misses=data["llc_misses"],
+                   memory_instructions=data["memory_instructions"])
 
 
 @dataclass
@@ -115,10 +104,6 @@ class SimulationResult:
         """Sum of per-core IPCs (throughput metric for identical cores)."""
         return sum(core.ipc for core in self.cores)
 
-    def ipc_of(self, core_id: int) -> float:
-        """IPC of one core."""
-        return self.cores[core_id].ipc
-
     def to_dict(self) -> dict:
         """JSON-serialisable form, exact to the bit for every metric.
 
@@ -156,39 +141,31 @@ class SimulationResult:
     def from_dict(cls, data: dict) -> "SimulationResult":
         """Rebuild a result from :meth:`to_dict` output.
 
-        Tolerant of payloads written by *older* code versions: any field
-        added after the payload was serialised falls back to its neutral
-        default instead of raising ``KeyError``.  Only the identity fields
-        (``configuration``, ``workload``, ``cores``, ``total_cycles``) are
-        required — a payload without those does not describe a result.
+        Every field :meth:`to_dict` writes is required; ``telemetry`` is
+        absent exactly when no section was collected.
         """
-        from repro.energy.system_energy import SystemEnergyBreakdown
-
-        energy = data.get("energy")
+        energy = data["energy"]
         telemetry = data.get("telemetry")
-        counters = data.get("dram_counters")
         return cls(
             configuration=data["configuration"],
             workload=data["workload"],
             cores=[CoreResult.from_dict(core) for core in data["cores"]],
             total_cycles=data["total_cycles"],
-            elapsed_ns=data.get("elapsed_ns", 0.0),
-            dram_counters=CommandCounters.from_dict(counters)
-            if counters is not None else CommandCounters(),
-            in_dram_cache_hit_rate=data.get("in_dram_cache_hit_rate", 0.0),
-            cache_lookups=data.get("cache_lookups", 0),
-            cache_hits=data.get("cache_hits", 0),
-            average_read_latency_cycles=data.get(
-                "average_read_latency_cycles", 0.0),
-            memory_reads=data.get("memory_reads", 0),
-            memory_writes=data.get("memory_writes", 0),
-            relocation_operations=data.get("relocation_operations", 0),
-            relocation_cycles=data.get("relocation_cycles", 0),
-            energy=SystemEnergyBreakdown.from_dict(energy) if energy
-            else None,
-            telemetry=TelemetryResult.from_dict(telemetry) if telemetry
-            else None,
-            extra=data.get("extra") or {},
+            elapsed_ns=data["elapsed_ns"],
+            dram_counters=CommandCounters.from_dict(data["dram_counters"]),
+            in_dram_cache_hit_rate=data["in_dram_cache_hit_rate"],
+            cache_lookups=data["cache_lookups"],
+            cache_hits=data["cache_hits"],
+            average_read_latency_cycles=data["average_read_latency_cycles"],
+            memory_reads=data["memory_reads"],
+            memory_writes=data["memory_writes"],
+            relocation_operations=data["relocation_operations"],
+            relocation_cycles=data["relocation_cycles"],
+            energy=SystemEnergyBreakdown.from_dict(energy)
+            if energy is not None else None,
+            telemetry=TelemetryResult.from_dict(telemetry)
+            if telemetry is not None else None,
+            extra=data["extra"],
         )
 
 

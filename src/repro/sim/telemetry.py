@@ -1,4 +1,4 @@
-"""Unified telemetry: latency distributions, epoch time series, probes.
+"""Unified telemetry: latency distributions and epoch time series.
 
 The paper's evaluation reports end-of-run means (weighted speedup, average
 memory latency, row-hit rate).  This module adds the *distributional* view
@@ -15,9 +15,8 @@ those means cannot express:
   cumulative counters of each stats producer (cores, channel controllers,
   DRAM command counters, caching mechanisms) and stores per-epoch deltas:
   IPC, row-buffer hit rate, in-DRAM cache hit rate, per-channel queue
-  depth, and read/write traffic.  Custom probes can be registered with
-  :meth:`Telemetry.add_probe`.
-* :class:`TelemetryResult` — the versioned, JSON-serialisable section
+  depth, and read/write traffic.
+* :class:`TelemetryResult` — the JSON-serialisable section
   attached to :class:`~repro.sim.metrics.SimulationResult` when telemetry
   is enabled (``SystemConfig.telemetry``), and round-tripped by the
   experiment engine's persistent cache.
@@ -33,10 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-#: Bump when the serialised telemetry section changes shape; readers treat
-#: unknown versions as absent rather than misreading them.
-TELEMETRY_SCHEMA_VERSION = 1
 
 #: Default epoch length for time-series sampling, in CPU cycles.
 DEFAULT_EPOCH_CYCLES = 50_000
@@ -190,9 +185,9 @@ class LatencyHistogram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatencyHistogram":
-        """Rebuild from :meth:`to_dict` output (tolerates missing keys)."""
+        """Rebuild from :meth:`to_dict` output."""
         return cls({int(latency): int(count)
-                    for latency, count in data.get("counts", [])})
+                    for latency, count in data["counts"]})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LatencyHistogram(count={self.count}, mean={self.mean:.1f}, "
@@ -214,8 +209,7 @@ class EpochSeries:
     boundary (the final epoch may be partial: it ends at the simulation's
     last cycle).  ``queue_depths`` holds one ``[per-channel depth]`` list
     per epoch — an instantaneous read+write queue occupancy sampled at the
-    epoch boundary, not a delta.  ``extra`` holds one list per registered
-    probe name.
+    epoch boundary, not a delta.
     """
 
     end_cycle: list[int] = field(default_factory=list)
@@ -228,7 +222,6 @@ class EpochSeries:
     cache_lookups: list[int] = field(default_factory=list)
     cache_hits: list[int] = field(default_factory=list)
     queue_depths: list[list[int]] = field(default_factory=list)
-    extra: dict[str, list] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.end_cycle)
@@ -269,8 +262,6 @@ class EpochSeries:
                     / seconds / 1e9
                 row["write_gbps"] = self.writes[index] * block_bytes \
                     / seconds / 1e9
-            for name, values in self.extra.items():
-                row[name] = values[index]
             rows.append(row)
         return rows
 
@@ -278,19 +269,15 @@ class EpochSeries:
         """JSON-serialisable columnar form."""
         data = {column: getattr(self, column) for column in EPOCH_COLUMNS}
         data["queue_depths"] = self.queue_depths
-        data["extra"] = self.extra
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpochSeries":
-        """Rebuild from :meth:`to_dict` output (tolerates missing keys)."""
-        series = cls(**{column: list(data.get(column, []))
-                        for column in EPOCH_COLUMNS})
-        series.queue_depths = [list(depths)
-                               for depths in data.get("queue_depths", [])]
-        series.extra = {name: list(values)
-                        for name, values in (data.get("extra") or {}).items()}
-        return series
+        """Rebuild from :meth:`to_dict` output."""
+        return cls(**{column: list(data[column])
+                      for column in EPOCH_COLUMNS},
+                   queue_depths=[list(depths)
+                                 for depths in data["queue_depths"]])
 
 
 class Telemetry:
@@ -305,7 +292,7 @@ class Telemetry:
     """
 
     __slots__ = ('epoch_cycles', 'next_epoch', 'series', '_cores',
-                 '_channel_controllers', '_probes', '_last')
+                 '_channel_controllers', '_last')
 
     def __init__(self, config: TelemetryConfig, cores,
                  channel_controllers) -> None:
@@ -318,27 +305,9 @@ class Telemetry:
         #: One controller per channel; each also leads to its channel's
         #: command counters and caching mechanism.
         self._channel_controllers = list(channel_controllers)
-        #: Registered ``(name, callable)`` probes, sampled every epoch.
-        self._probes: list[tuple[str, object]] = []
         #: Cumulative snapshot at the previous epoch boundary, in
         #: EPOCH_COLUMNS order minus end_cycle.
         self._last = (0,) * (len(EPOCH_COLUMNS) - 1)
-
-    def add_probe(self, name: str, probe) -> None:
-        """Register a custom per-epoch probe.
-
-        ``probe(end_cycle)`` is called at every epoch boundary; its return
-        value is appended to ``series.extra[name]``.  Probes must be pure
-        observers (JSON-serialisable return values, no simulation-state
-        mutation).  Registering after sampling has started would desync
-        the column lengths, so it is rejected.
-        """
-        if any(existing == name for existing, _ in self._probes):
-            raise ValueError(f"probe {name!r} already registered")
-        if len(self.series):
-            raise ValueError("cannot add probes once sampling has started")
-        self._probes.append((name, probe))
-        self.series.extra[name] = []
 
     # ------------------------------------------------------------------
     # Sampling (called from the simulator loop).
@@ -394,13 +363,11 @@ class Telemetry:
             [controller.read_queue_occupancy
              + controller.write_queue_occupancy
              for controller in controllers])
-        for name, probe in self._probes:
-            series.extra[name].append(probe(end_cycle))
 
 
 @dataclass
 class TelemetryResult:
-    """The versioned telemetry section of a simulation result.
+    """The telemetry section of a simulation result.
 
     Attached to :class:`~repro.sim.metrics.SimulationResult` when the
     system configuration enables telemetry; serialised into the
@@ -417,8 +384,6 @@ class TelemetryResult:
     write_latency: LatencyHistogram
     #: The epoch time series.
     epochs: EpochSeries
-    #: Serialisation schema version.
-    version: int = TELEMETRY_SCHEMA_VERSION
 
     def read_percentiles(self) -> dict:
         """Headline read-latency statistics (count/mean/p50/p95/p99/max)."""
@@ -427,7 +392,6 @@ class TelemetryResult:
     def to_dict(self) -> dict:
         """JSON-serialisable form (used by the persistent result cache)."""
         return {
-            "version": self.version,
             "epoch_cycles": self.epoch_cycles,
             "cpu_clock_ghz": self.cpu_clock_ghz,
             "read_latency": self.read_latency.to_dict(),
@@ -436,23 +400,12 @@ class TelemetryResult:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TelemetryResult | None":
-        """Rebuild from :meth:`to_dict` output.
-
-        Returns ``None`` for payloads from a *newer* schema than this code
-        understands: the caller then behaves as if telemetry was absent
-        rather than misreading the section.
-        """
-        version = data.get("version", TELEMETRY_SCHEMA_VERSION)
-        if version > TELEMETRY_SCHEMA_VERSION:
-            return None
+    def from_dict(cls, data: dict) -> "TelemetryResult":
+        """Rebuild from :meth:`to_dict` output."""
         return cls(
-            epoch_cycles=data.get("epoch_cycles", DEFAULT_EPOCH_CYCLES),
-            cpu_clock_ghz=data.get("cpu_clock_ghz", 0.0),
-            read_latency=LatencyHistogram.from_dict(
-                data.get("read_latency") or {}),
-            write_latency=LatencyHistogram.from_dict(
-                data.get("write_latency") or {}),
-            epochs=EpochSeries.from_dict(data.get("epochs") or {}),
-            version=version,
+            epoch_cycles=data["epoch_cycles"],
+            cpu_clock_ghz=data["cpu_clock_ghz"],
+            read_latency=LatencyHistogram.from_dict(data["read_latency"]),
+            write_latency=LatencyHistogram.from_dict(data["write_latency"]),
+            epochs=EpochSeries.from_dict(data["epochs"]),
         )

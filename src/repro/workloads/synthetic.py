@@ -40,6 +40,7 @@ drawn again while the result is ``n`` or more.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -102,12 +103,14 @@ class SyntheticTraceConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` for inconsistent parameters."""
+        for name in ("hot_fraction", "stream_fraction", "random_fraction",
+                     "write_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         total = self.hot_fraction + self.stream_fraction + self.random_fraction
         if abs(total - 1.0) > 1e-6:
             raise ValueError(
                 f"pattern fractions must sum to 1.0, got {total}")
-        if not 0.0 <= self.write_fraction <= 1.0:
-            raise ValueError("write_fraction must be in [0, 1]")
         if self.hot_segments <= 0 or self.hot_rows <= 0:
             raise ValueError("hot_segments and hot_rows must be positive")
         if self.hot_window_segments <= 0 \
@@ -126,13 +129,12 @@ class SyntheticTraceConfig:
         if self.concurrent_streams <= 0 or self.stream_length_blocks <= 0:
             raise ValueError(
                 "concurrent_streams and stream_length_blocks must be positive")
-        if self.mean_bubbles < 0:
-            raise ValueError("mean_bubbles must be non-negative")
-
-    @property
-    def hot_window_bytes(self) -> int:
-        """Byte size of the actively reused window."""
-        return self.hot_window_segments * self.hot_segment_bytes
+        if not (math.isfinite(self.mean_bubbles) and self.mean_bubbles >= 0):
+            raise ValueError("mean_bubbles must be finite and non-negative")
+        if self.working_set_bytes < self.block_size_bytes:
+            raise ValueError("the working set must hold at least one block")
+        if self.base_address < 0:
+            raise ValueError("base_address must be non-negative")
 
 
 class SyntheticTraceGenerator:
@@ -149,8 +151,6 @@ class SyntheticTraceGenerator:
         self._rng = random.Random(config.seed)
         self._hot_segment_bases = self._build_hot_segment_bases()
         blocks = config.working_set_bytes // config.block_size_bytes
-        if blocks <= 0:
-            raise ValueError("the working set must hold at least one block")
         #: Hot component: the window's position in the segment pool, the
         #: scan position within the window, and the current segment visit
         #: (its segment, next block, and blocks left).
@@ -220,10 +220,9 @@ class SyntheticTraceGenerator:
         if not no_bubbles:
             # An exponential draw keeps the bubble counts integral and
             # non-negative while matching the requested mean; the cap
-            # avoids pathological multi-million-instruction gaps.  An
-            # infinite or NaN mean fails at the first record's draw.
+            # avoids pathological multi-million-instruction gaps.
             rate = 1.0 / mean
-            cap = int(mean * 10) if mean < float("inf") else 0
+            cap = int(mean * 10)
         hot_fraction = config.hot_fraction
         stream_cut = config.hot_fraction + config.stream_fraction
         write_fraction = config.write_fraction

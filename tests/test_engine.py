@@ -7,15 +7,20 @@ import json
 import math
 import os
 import pickle
+import shutil
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.cpu.core import COMPILED_TRACE_CAPACITY, compile_trace
 from repro.experiments import engine
 from repro.experiments.engine import (JobExecutionError, JobExecutor,
                                       ResultCache, SimJob, cache_salt)
+from repro.experiments.engine.cache import (NOT_MODEL_MODULES,
+                                            model_fingerprint)
 from repro.experiments.engine.spec import ExperimentScale
 from repro.experiments.figures import (figure7_single_core,
                                        figure8_multicore,
@@ -27,6 +32,7 @@ from repro.workloads.catalog import benchmark_names
 from repro.workloads.multiprogram import make_multiprogrammed_workload
 
 TINY = ExperimentScale.tiny()
+PACKAGE_ROOT = Path(repro.__file__).parent
 
 
 @dataclasses.dataclass(frozen=True)
@@ -293,6 +299,52 @@ class TestResultCache:
         assert reader.stats().disk_entries == 1
         reader.refresh_index()
         assert reader.stats().disk_entries == 2
+
+
+class TestModelFingerprint:
+    """The cache salt follows the model source, and only it."""
+
+    @pytest.fixture
+    def package(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(PACKAGE_ROOT, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root
+
+    @staticmethod
+    def _append_comment(path):
+        assert path.is_file(), path
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("# an edit\n")
+
+    def test_cache_salt_is_the_package_fingerprint(self):
+        assert cache_salt() == model_fingerprint(PACKAGE_ROOT)
+
+    def test_model_module_edit_changes_it(self, package):
+        before = model_fingerprint(package)
+        self._append_comment(package / "dram" / "channel.py")
+        assert model_fingerprint(package) != before
+
+    def test_new_module_changes_it(self, package):
+        before = model_fingerprint(package)
+        (package / "sim" / "new_model.py").write_text("X = 1\n")
+        assert model_fingerprint(package) != before
+
+    def test_edits_outside_the_model_keep_it(self, package):
+        before = model_fingerprint(package)
+        for name in NOT_MODEL_MODULES:
+            self._append_comment(package / name)
+        assert model_fingerprint(package) == before
+
+    def test_not_model_modules_are_pinned(self):
+        assert NOT_MODEL_MODULES == {
+            "__main__.py", "cli.py",
+            "experiments/__init__.py", "experiments/figures.py",
+            "experiments/runner.py", "experiments/static.py",
+            "experiments/engine/__init__.py", "experiments/engine/cache.py",
+            "experiments/engine/executor.py", "experiments/engine/faults.py",
+            "experiments/engine/progress.py"}
+
 
 class TestJobExecutor:
     def test_deduplicates_equal_jobs(self):

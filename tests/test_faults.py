@@ -10,6 +10,7 @@ computes.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -26,6 +27,7 @@ from repro.experiments.engine import (BatchReport, CallbackSink, FaultPlan,
                                       install_plan)
 from repro.experiments.engine import executor as executor_mod
 from repro.experiments.engine import faults
+from repro.experiments.engine.cache import _canonical_result_bytes
 from repro.experiments.engine.executor import (RETRY_MAX_ATTEMPTS,
                                                retry_delay_s,
                                                watchdog_allowance_s)
@@ -620,21 +622,45 @@ class TestCacheIntegrity:
         assert fresh.stats().decode_failures == 1
         assert (tmp_path / "quarantine").is_dir()
 
-    def test_legacy_envelope_less_entry_still_readable(self, tmp_path):
-        result = self._result()
-        key = "ef" + "3" * 62
+    def _write_entry(self, tmp_path, key, payload):
         shard = tmp_path / key[:2]
-        shard.mkdir(parents=True)
-        legacy = {"salt": cache_salt(), "key": key,
-                  "result": result.to_dict()}
-        (shard / f"{key}.json").write_text(json.dumps(legacy),
-                                           encoding="utf-8")
+        shard.mkdir(parents=True, exist_ok=True)
+        path = shard / f"{key}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    def test_old_salt_without_checksum_is_a_stale_miss(self, tmp_path):
+        key = "ef" + "3" * 62
+        path = self._write_entry(tmp_path, key, {
+            "salt": "4:1.2.0", "key": key,
+            "result": self._result().to_dict()})
         cache = ResultCache(tmp_path)
-        loaded = cache.get(key)
-        assert loaded is not None
-        assert loaded.to_dict() == result.to_dict()
-        report = cache.verify()
-        assert report["legacy"] == 1 and not report["corrupt"]
+        assert cache.get(key) is None
+        report = cache.verify(repair=True)
+        assert report["stale_salt"] == 1 and report["ok"] == 0
+        assert not report["corrupt"] and report["quarantined"] == 0
+        assert cache.stats().decode_failures == 0
+        assert path.exists() and not (tmp_path / "quarantine").exists()
+
+    @pytest.mark.parametrize("damage", ["no-sha256", "no-memory-reads"])
+    def test_current_salt_damaged_entry_is_quarantined(self, tmp_path,
+                                                       damage):
+        key = "fa" + "8" * 62
+        result_dict = self._result().to_dict()
+        if damage == "no-memory-reads":
+            del result_dict["memory_reads"]  # checksummed, not rebuildable
+        canonical = _canonical_result_bytes(result_dict)
+        payload = {"salt": cache_salt(), "key": key,
+                   "length": len(canonical),
+                   "sha256": hashlib.sha256(canonical).hexdigest(),
+                   "result": result_dict}
+        if damage == "no-sha256":
+            del payload["sha256"]
+        path = self._write_entry(tmp_path, key, payload)
+        cache = ResultCache(tmp_path)
+        assert cache.verify()["corrupt"] == [key]
+        assert cache.get(key) is None
+        assert cache.stats().quarantined == 1 and not path.exists()
 
     def test_verify_reports_and_repairs(self, tmp_path):
         good_key = "aa" + "4" * 62

@@ -48,9 +48,9 @@ def trace_configs(draw) -> SyntheticTraceConfig:
 
     Fractions and probabilities at 0 and 1, ``mean_bubbles`` 0, bursts as
     long as a segment or longer (so the burst offset is a draw among one
-    value), stream runs of a few blocks, working sets down to 0 bytes
-    (less than a block is rejected), and negative base addresses (a
-    negative record address is rejected).
+    value), stream runs of a few blocks, working sets down to 0 bytes and
+    negative base addresses (``validate`` rejects less than a block and a
+    negative base).
     """
     block = draw(st.sampled_from((32, 64, 128)))
     hot_segments = draw(st.integers(1, 300))
@@ -148,6 +148,20 @@ class TestSyntheticGenerator:
             SyntheticTraceConfig(hot_window_segments=100,
                                  hot_segments=50).validate()
 
+    @pytest.mark.parametrize("fields", [
+        {"hot_fraction": math.nan},
+        {"hot_fraction": 1.2, "stream_fraction": -0.1,
+         "random_fraction": -0.1},
+        {"mean_bubbles": math.inf},
+        {"mean_bubbles": math.nan},
+        {"working_set_bytes": 32},
+        {"base_address": -4096},
+    ], ids=["nan-fraction", "fraction-out-of-range", "inf-bubbles",
+            "nan-bubbles", "sub-block-working-set", "negative-base"])
+    def test_validate_rejects_what_the_generator_cannot_run(self, fields):
+        with pytest.raises(ValueError):
+            SyntheticTraceConfig(**fields).validate()
+
     def test_hot_only_trace_touches_window_sized_footprint(self):
         config = SyntheticTraceConfig(seed=7, hot_fraction=1.0,
                                       stream_fraction=0.0,
@@ -194,8 +208,8 @@ class TestPinnedOutput:
                 "mixes": records_sha256(mixes)} == PINNED_TRACE_SHA256
 
     @given(trace_configs(), split_lengths())
-    # Configurations ``validate`` accepts but the generator rejects: a
-    # working set smaller than one block, and an infinite or NaN mean.
+    # Configurations ``validate`` rejects: a working set smaller than one
+    # block, and an infinite or NaN mean.
     @example(SyntheticTraceConfig(working_set_bytes=32), [10])
     @example(SyntheticTraceConfig(mean_bubbles=math.inf), [0, 10])
     @example(SyntheticTraceConfig(mean_bubbles=math.nan), [0, 10])
