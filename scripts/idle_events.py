@@ -74,11 +74,11 @@ def install_counters() -> dict[str, int]:
                 backlog == controller._drain_high
         return enqueue(controller, request, now)
 
-    def flagged_wake(controller, now):
+    def flagged_wake(controller, now, bank=None):
         nonlocal waking
         waking = True
         try:
-            return wake(controller, now)
+            return wake(controller, now, bank)
         finally:
             waking = False
 

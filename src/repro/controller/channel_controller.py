@@ -18,18 +18,19 @@ younger core's) is insertion-sorted from the back.
 
 Bank wake-ups are tracked two ways: an insertion-ordered ``dict`` mapping
 each pending bank to its wake cycle (the order banks are re-examined in —
-it determines shared-bus interleaving and must stay stable), and a
-lazily-invalidated min-heap over ``(cycle, bank)`` entries that answers
-:meth:`next_wakeup` in O(1) amortised instead of a ``min()`` scan per
-event.  Heap entries whose cycle no longer matches the dict are stale and
-skipped on pop.
+it determines shared-bus interleaving and must stay stable), and a push to
+a min-heap of ``(cycle, channel, bank)`` entries each time a bank's entry
+is set.  The simulator owns that heap: one per run, shared by every
+channel (:meth:`join_wake_queue`), so it pops exactly the banks that are
+due.  A heap entry whose cycle no longer matches its channel's dict is
+stale and dropped when it reaches the head.
 
 The controller is event-driven.  Two entry points matter to the simulator:
 
 * :meth:`enqueue` — a new request arrives; returns any newly completed
   requests (scheduling is attempted immediately).
-* :meth:`wake` — a previously busy bank may have become free; returns newly
-  completed requests.
+* :meth:`wake` — a previously busy bank (or, without a bank, every bank)
+  may have become free; returns newly completed requests.
 
 Both return completed requests rather than scheduling callbacks so that the
 surrounding simulator (``repro.sim``) can turn them into core wake-up events.
@@ -38,7 +39,7 @@ surrounding simulator (``repro.sim``) can turn them into core wake-up events.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappush
 
 from repro.controller.request import MemoryRequest
 from repro.controller.scheduler import FRFCFSScheduler, SchedulerConfig
@@ -55,7 +56,8 @@ class ChannelController:
     __slots__ = ('_channel', '_banks', '_mechanism', '_scheduler',
                  '_reads_by_bank', '_writes_by_bank', '_read_count',
                  '_write_count', '_drain_mode', '_wakeup_cycle',
-                 '_wakeup_heap', '_drain_high', '_drain_low', '_row_of', '_direct_access',
+                 '_wakeup_heap', '_wakeup_channel', '_drain_high',
+                 '_drain_low', '_row_of', '_direct_access',
                  'completed_reads', 'completed_writes',
                  'read_latencies', 'write_latencies', 'tracer')
 
@@ -79,9 +81,11 @@ class ChannelController:
         #: at which they should be re-examined.  Insertion order is the
         #: order due banks are scheduled in.
         self._wakeup_cycle: dict[int, int] = {}
-        #: Min-heap over (cycle, bank); entries not matching
-        #: ``_wakeup_cycle`` are stale and skipped lazily.
-        self._wakeup_heap: list[tuple[int, int]] = []
+        #: The run's wake-up min-heap of (cycle, channel, bank) entries
+        #: and this controller's channel in it, set by
+        #: :meth:`join_wake_queue`; before that, a list nothing reads.
+        self._wakeup_heap: list[tuple[int, int, int]] = []
+        self._wakeup_channel = 0
         #: Hot-path configuration and dispatch, hoisted once.
         config = self._scheduler.config
         self._drain_high = config.write_drain_high_watermark
@@ -144,36 +148,24 @@ class ChannelController:
         """True while any request is still queued."""
         return bool(self._read_count or self._write_count)
 
-    def wakeup_view(self) -> tuple[list, dict]:
-        """The live ``(wake-up heap, wake-cycle dict)`` pair of this channel.
-
-        Accessor contract: the controller never rebinds ``_wakeup_heap``
-        or ``_wakeup_cycle`` after construction — both are mutated in
-        place — so a snapshot taken once per simulation run stays live for
-        the whole run.  The simulator's event loop peeks these structures
-        directly instead of calling :meth:`next_wakeup` per event and
-        verify the contract with a debug assertion at the end of the run
-        (a subclass that rebinds either attribute would silently desync
-        the snapshot otherwise).
-        """
-        return self._wakeup_heap, self._wakeup_cycle
-
     def next_wakeup(self) -> int | None:
-        """Earliest cycle at which a busy bank with pending work frees up.
+        """Earliest cycle at which a busy bank with pending work frees up."""
+        return min(self._wakeup_cycle.values(), default=None)
 
-        Answered from the lazily-invalidated min-heap: stale heads (entries
-        superseded by an earlier wake-up or already woken) are popped until
-        the head matches the live per-bank wake cycle.  KEEP the stale-head
-        rule IN SYNC with the inlined peeks in ``Simulator._run``.
+    def join_wake_queue(self, heap: list, channel: int) -> dict[int, int]:
+        """Push wake-ups to a run's ``heap`` as ``(cycle, channel, bank)``.
+
+        The pending wake-ups are pushed first, so every entry of the
+        returned live bank -> wake-cycle dict has a heap entry.  Neither
+        the heap nor the dict is rebound afterwards (both are mutated in
+        place), so the simulator hoists them for the run and checks that
+        after it.
         """
-        heap = self._wakeup_heap
-        live = self._wakeup_cycle
-        while heap:
-            cycle, bank = heap[0]
-            if live.get(bank) == cycle:
-                return cycle
-            heappop(heap)
-        return None
+        for bank, cycle in self._wakeup_cycle.items():
+            heappush(heap, (cycle, channel, bank))
+        self._wakeup_heap = heap
+        self._wakeup_channel = channel
+        return self._wakeup_cycle
 
     # ------------------------------------------------------------------
     # Event entry points.
@@ -224,26 +216,26 @@ class ChannelController:
             return []
         return self._try_schedule_bank(flat_bank, now)
 
-    def wake(self, now: int) -> list[MemoryRequest]:
-        """Re-attempt scheduling on banks whose wake-up time has arrived."""
+    def wake(self, now: int, bank: int | None = None) -> list[MemoryRequest]:
+        """Re-attempt scheduling on banks whose wake-up time has arrived.
+
+        With ``bank``, the caller knows it is the one bank due: its wake-up
+        is dropped and it is scheduled without scanning the others.
+        Without, every due bank is scheduled, in the order they were noted.
+        """
         wakeups = self._wakeup_cycle
-        if not wakeups:
-            return []
-        if len(wakeups) == 1:
-            # Common case: exactly one busy bank is pending.
-            bank, cycle = next(iter(wakeups.items()))
-            if cycle > now:
-                return []
+        if bank is not None:
             del wakeups[bank]
             return self._try_schedule_bank(bank, now)
-        due = [bank for bank, cycle in wakeups.items() if cycle <= now]
+        due = [flat_bank for flat_bank, cycle in wakeups.items()
+               if cycle <= now]
         if not due:
             return []
-        for bank in due:
-            del wakeups[bank]
+        for flat_bank in due:
+            del wakeups[flat_bank]
         completed: list[MemoryRequest] = []
-        for bank in due:
-            completed.extend(self._try_schedule_bank(bank, now))
+        for flat_bank in due:
+            completed.extend(self._try_schedule_bank(flat_bank, now))
         return completed
 
     def drain_all(self, now: int) -> tuple[int, list[MemoryRequest]]:
@@ -269,7 +261,6 @@ class ChannelController:
                 wake = self.next_wakeup()
                 current = wake if wake is not None else current + 1
                 self._wakeup_cycle.clear()
-                self._wakeup_heap.clear()
         last = max((req.completion_cycle for req in completed), default=now)
         return last, completed
 
@@ -386,4 +377,5 @@ class ChannelController:
         existing = self._wakeup_cycle.get(flat_bank)
         if existing is None or cycle < existing:
             self._wakeup_cycle[flat_bank] = cycle
-            heappush(self._wakeup_heap, (cycle, flat_bank))
+            heappush(self._wakeup_heap,
+                     (cycle, self._wakeup_channel, flat_bank))

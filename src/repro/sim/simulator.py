@@ -15,11 +15,17 @@ sees request arrivals from different cores correctly interleaved.
 
 The main loop is written for throughput: handler dispatch and the safety
 limits are hoisted out of the per-event path (bound methods and limit
-values live in locals), events are only pushed when they can do work
-(superseded ``CONTROLLER_WAKE`` events left in the heap are dropped with an
-O(1) peek at the controller's wake-up heap instead of a full wake pass),
+values live in locals), events are only pushed when they can do work,
 and the current cycle is assigned directly — the event heap pops in
 non-decreasing cycle order because no handler ever schedules into the past.
+
+Bank wake-ups go through one min-heap of ``(cycle, channel, bank)``
+entries for the whole run, which every controller pushes to (see
+``ChannelController.join_wake_queue``); an entry is stale once its
+channel's wake-cycle dict no longer maps the bank to that cycle.  A
+``CONTROLLER_WAKE`` event pops the entries due by its cycle and wakes the
+one due bank by name, or, when several are due, every channel with one,
+in channel order, so the wake cost does not grow with the channel count.
 """
 
 from __future__ import annotations
@@ -157,21 +163,15 @@ class Simulator:
         cores = self._cores
         max_cycles = self._limits.max_cycles
         max_events = self._limits.max_events
-        #: The per-channel (wake-up heap, live wake cycle) pairs, hoisted so
-        #: the loop peeks the lazily-invalidated heaps directly instead of
-        #: calling ChannelController.next_wakeup after every event (the
-        #: invalidation rule matches it: a head whose cycle disagrees with
-        #: the live dict is stale).  The snapshot stays live by the
-        #: wakeup_view accessor contract (no rebinding after
-        #: construction), verified after the loop.
-        wakeup_views = [cc.wakeup_view() for cc in channel_controllers]
-        #: With one channel (every single-core job) wake delivery skips
-        #: the channel fan-out; otherwise each channel with a live wake-up
-        #: entry is woken, in channel order.
-        single_controller = channel_controllers[0] \
-            if len(channel_controllers) == 1 else None
-        wake_fanout = tuple((cc, live) for cc, (_, live)
-                            in zip(channel_controllers, wakeup_views))
+        #: The run's one wake-up queue, and each channel's bank ->
+        #: wake-cycle dict.  Controllers push to the queue and mutate the
+        #: dicts in place, never rebinding either (checked after the loop).
+        wake_queue: list[tuple[int, int, int]] = []
+        wakeups = tuple(cc.join_wake_queue(wake_queue, channel)
+                        for channel, cc in enumerate(channel_controllers))
+        #: Cycle of the earliest CONTROLLER_WAKE event queued, so that
+        #: wake-ups do not flood the event heap with duplicates.
+        scheduled_wake = self._scheduled_wake
         #: The shared route memo of this device's geometry, probed inline;
         #: a miss goes through AddressMapper.route, its only writer.  The
         #: memo is cleared in place when full, never rebound, so this
@@ -238,34 +238,34 @@ class Simulator:
             else:
                 # CONTROLLER_WAKE, inlined because wake events dominate
                 # some workloads.
-                if self._scheduled_wake is not None \
-                        and self._scheduled_wake <= cycle:
-                    self._scheduled_wake = None
-                # A wake event is stale when an earlier wake already
-                # serviced the banks it was scheduled for (pushing an
-                # earlier CONTROLLER_WAKE cannot remove the superseded one
-                # from the heap).  Peeking at the wake-up heaps is O(1); a
-                # full wake pass would walk every channel's pending banks
-                # just to find nothing due.
-                next_due = None
-                for heap, live in wakeup_views:
-                    while heap:
-                        head = heap[0]
-                        if live.get(head[1]) == head[0]:
-                            if next_due is None or head[0] < next_due:
-                                next_due = head[0]
-                            break
-                        heappop(heap)
-                if next_due is None:
-                    continue
-                if next_due <= cycle:
-                    if single_controller is not None:
-                        woken = single_controller.wake(cycle)
+                if scheduled_wake is not None and scheduled_wake <= cycle:
+                    scheduled_wake = None
+                # Pop the entries due by now; the live ones are exactly the
+                # banks a full wake pass would find due.  A superseded event
+                # (pushing an earlier CONTROLLER_WAKE cannot remove it from
+                # the event heap) finds none.  due_channels is set once a
+                # second live entry is due.
+                due = None
+                due_channels = None
+                while wake_queue and wake_queue[0][0] <= cycle:
+                    head = heappop(wake_queue)
+                    if wakeups[head[1]].get(head[2]) != head[0]:
+                        continue
+                    if due is None:
+                        due = head
+                    elif due_channels is None:
+                        due_channels = {due[1], head[1]}
+                    else:
+                        due_channels.add(head[1])
+                if due is not None:
+                    if due_channels is None:
+                        woken = channel_controllers[due[1]].wake(cycle,
+                                                                 due[2])
                     else:
                         woken = []
-                        for cc, live in wake_fanout:
-                            if live:
-                                woken.extend(cc.wake(cycle))
+                        for channel in sorted(due_channels):
+                            woken.extend(
+                                channel_controllers[channel].wake(cycle))
                     for request in woken:
                         if request.is_write:
                             continue
@@ -276,34 +276,29 @@ class Simulator:
                             heappush(events,
                                      (completion_cycle, next(sequence),
                                       _CORE_RUN, core))
-            # Push a CONTROLLER_WAKE for the earliest pending bank unless
+            # Push a CONTROLLER_WAKE for the earliest live wake-up unless
             # one is already queued at or before that cycle.
-            wake = None
-            for heap, live in wakeup_views:
-                while heap:
-                    head = heap[0]
-                    if live.get(head[1]) == head[0]:
-                        if wake is None or head[0] < wake:
-                            wake = head[0]
-                        break
-                    heappop(heap)
-            if wake is not None:
-                if wake < cycle:
-                    wake = cycle
-                scheduled = self._scheduled_wake
-                if scheduled is None or scheduled > wake:
-                    self._scheduled_wake = wake
-                    heappush(events,
-                             (wake, next(sequence), _CONTROLLER_WAKE, None))
+            while wake_queue:
+                wake, channel, bank = wake_queue[0]
+                if wakeups[channel].get(bank) == wake:
+                    if wake < cycle:
+                        wake = cycle
+                    if scheduled_wake is None or scheduled_wake > wake:
+                        scheduled_wake = wake
+                        heappush(events, (wake, next(sequence),
+                                          _CONTROLLER_WAKE, None))
+                    break
+                heappop(wake_queue)
         self._now = max(self._now, cycle)
         self.processed_events = processed
+        self._scheduled_wake = scheduled_wake
         if __debug__:
-            for (heap, live), cc in zip(wakeup_views, channel_controllers):
-                current_heap, current_live = cc.wakeup_view()
-                assert heap is current_heap and live is current_live, (
-                    "ChannelController rebound its wake-up structures "
-                    "mid-run; the hoisted wakeup_views snapshot went "
-                    "stale (see ChannelController.wakeup_view)")
+            for cc, live in zip(channel_controllers, wakeups):
+                assert cc._wakeup_heap is wake_queue \
+                    and cc._wakeup_cycle is live, (
+                        "ChannelController rebound its wake-up structures "
+                        "mid-run; the loop's hoisted queue and dicts went "
+                        "stale (see ChannelController.join_wake_queue)")
 
         # Flush any writes still sitting in the controller queues so that
         # command counts and energy reflect the whole workload.

@@ -122,8 +122,13 @@ class SyntheticTraceConfig:
             raise ValueError("hot_window_drift must be in [0, 1]")
         if not 0.0 <= self.hot_jump_probability <= 1.0:
             raise ValueError("hot_jump_probability must be in [0, 1]")
-        if self.hot_segment_bytes < self.block_size_bytes:
-            raise ValueError("a hot segment must hold at least one block")
+        if self.block_size_bytes <= 0:
+            raise ValueError("block_size_bytes must be positive")
+        for name in ("hot_segment_bytes", "row_size_bytes"):
+            size = getattr(self, name)
+            if size <= 0 or size % self.block_size_bytes:
+                raise ValueError(
+                    f"{name} must be a positive multiple of block_size_bytes")
         if self.hot_burst_blocks <= 0:
             raise ValueError("hot_burst_blocks must be positive")
         if self.concurrent_streams <= 0 or self.stream_length_blocks <= 0:

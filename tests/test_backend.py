@@ -1,4 +1,4 @@
-"""Tests for the event core's name, its wake-up accessor contract, and the
+"""Tests for the event core's name, its wake-up queue contract, and the
 config digest.
 
 * **One named event core** — every run builds the one
@@ -13,10 +13,10 @@ config digest.
 * **Digest** — ``config_digest`` keys every on-disk result, so it must see
   every knob that changes results (the pinned digests of the six paper
   configurations live in ``tests/test_engine.py``).
-* **The wakeup_view accessor contract** — the event loop hoists every
-  channel's wake-up structures once per run, so a controller that rebinds
-  them mid-run must crash the run loudly instead of silently losing
-  wake-ups.
+* **The wake-up queue contract** — the event loop hands every channel's
+  controller one wake-up queue for the run and hoists each controller's
+  bank -> wake-cycle dict, so a controller that rebinds either mid-run
+  must crash the run loudly instead of silently losing wake-ups.
 """
 
 import pytest
@@ -108,45 +108,50 @@ class TestDigestNeutrality:
         assert base != other
 
 
-class _RebindingCC(ChannelController):
-    """Evil controller that rebinds its wake-up structures mid-run.
-
-    Violates the :meth:`ChannelController.wakeup_view` accessor contract
-    on purpose: the first ``enqueue()`` call replaces ``_wakeup_heap``
-    and ``_wakeup_cycle`` with copies, so the run loop's hoisted snapshot
-    goes stale.  (``enqueue`` is the hook because the event loop calls it
-    on every request arrival.)  Empty ``__slots__`` keeps the layout
-    compatible with the parent so instances can be re-classed in place.
-    """
-
+# Evil controllers that violate the ChannelController.join_wake_queue
+# contract on purpose: every enqueue() call (the event loop makes one per
+# request arrival) replaces one wake-up structure with a copy, so the run
+# loop's hoisted reference goes stale.  Empty __slots__ keeps the layout
+# compatible with the parent so instances can be re-classed in place.
+class _RebindingQueueCC(ChannelController):
     __slots__ = ()
 
     def enqueue(self, request, now):
         self._wakeup_heap = list(self._wakeup_heap)
+        return super().enqueue(request, now)
+
+
+class _RebindingDictCC(ChannelController):
+    __slots__ = ()
+
+    def enqueue(self, request, now):
         self._wakeup_cycle = dict(self._wakeup_cycle)
         return super().enqueue(request, now)
 
 
-class TestWakeupViewContract:
-    """The hoisted wakeup_views snapshot must stay live for a whole run."""
+class TestWakeQueueContract:
+    """The loop's wake-up queue and hoisted dicts must stay live for a run."""
 
-    def test_wakeup_view_is_stable_across_a_run(self):
-        system = _build_system(EVENT_CORE)
-        cc = system.channel_controllers[0]
-        heap_before, live_before = cc.wakeup_view()
+    def test_controllers_keep_the_run_queue(self):
+        system = _build_system(EVENT_CORE, channels=2)
+        controllers = system.channel_controllers
+        dicts_before = [cc._wakeup_cycle for cc in controllers]
         system.run("mcf")
-        heap_after, live_after = cc.wakeup_view()
-        assert heap_after is heap_before
-        assert live_after is live_before
+        assert all(cc._wakeup_cycle is before
+                   for cc, before in zip(controllers, dicts_before))
+        # Every channel pushed to the one queue of the run.
+        queue = controllers[0]._wakeup_heap
+        assert all(cc._wakeup_heap is queue for cc in controllers)
 
-    # One channel takes the loop's single-controller wake path, two the
-    # channel fan-out.
-    @pytest.mark.parametrize("backend,channels",
-                             ((EVENT_CORE, 1), (EVENT_CORE, 2)))
-    def test_rebinding_controller_fails_loudly(self, backend, channels):
+    # Rebinding either structure, on one channel and on a channel fan-out.
+    @pytest.mark.parametrize("rebinding", (_RebindingQueueCC,
+                                           _RebindingDictCC),
+                             ids=("queue", "dict"))
+    @pytest.mark.parametrize("channels", (1, 2))
+    def test_rebinding_controller_fails_loudly(self, rebinding, channels):
         """A contract violation must crash the run, not corrupt it."""
-        system = _build_system(backend, channels)
+        system = _build_system(EVENT_CORE, channels)
         for cc in system.channel_controllers:
-            cc.__class__ = _RebindingCC
-        with pytest.raises((AssertionError, RuntimeError)):
+            cc.__class__ = rebinding
+        with pytest.raises(AssertionError, match="rebound"):
             system.run("mcf")

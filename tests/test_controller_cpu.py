@@ -290,6 +290,50 @@ class TestSystemChannels:
         assert [cc.completed_writes for cc in controllers] == [4, 4]
         assert all(request.completion_cycle > 0 for request in writes)
 
+    def test_wakes_noted_before_the_run_are_seeded(self, monkeypatch):
+        """Reads queued behind busy banks before run() complete in the
+        event loop, not in the final drain: the run's one wake-up queue
+        starts with every wake-up the controllers had already noted.  Both
+        channels' banks fall due in the same cycle, so the loop also takes
+        its several-banks form and must wake both channels."""
+        device = DRAMDevice(DRAMConfig(channels=2), refresh_enabled=False)
+        controllers = [ChannelController(channel, BaseMechanism())
+                       for channel in device.channels]
+        # Per channel, two rows of its flat bank 0: the first read opens
+        # the bank, the second queues behind it.  The core reads bank 1.
+        rows = {}
+        for address in range(0, 1 << 22, 64):
+            decoded, flat_bank, channel = device.mapper.route(address)
+            if flat_bank == 0:
+                rows.setdefault(channel, {}).setdefault(decoded.row, address)
+            elif flat_bank == 1:
+                core_address = address
+        queued = []
+        for channel, cc in enumerate(controllers):
+            first, second = list(rows[channel].values())[:2]
+            assert cc.enqueue(make_request(device, first), 0)
+            request = make_request(device, second)
+            assert cc.enqueue(request, 0) == []
+            queued.append(request)
+        assert controllers[0].next_wakeup() is not None
+        assert controllers[0].next_wakeup() == controllers[1].next_wakeup()
+        drained = []
+        drain_all = ChannelController.drain_all
+
+        def recording_drain_all(controller, now):
+            last, completed = drain_all(controller, now)
+            drained.extend(completed)
+            return last, completed
+
+        monkeypatch.setattr(ChannelController, "drain_all",
+                            recording_drain_all)
+        core = TraceCore(0, [TraceRecord(bubbles=0, address=core_address,
+                                         is_write=False)])
+        assert Simulator([core], controllers, device.mapper).run() > 0
+        assert drained == []
+        assert all(request.completion_cycle > 0 for request in queued)
+        assert sum(cc.completed_reads for cc in controllers) == 5
+
 
 # ----------------------------------------------------------------------
 # Caches.

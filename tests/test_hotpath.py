@@ -2,11 +2,13 @@
 
 Covers the golden-equivalence guarantee (the per-bank indexed scheduler,
 heap-based wake-ups, and slotted hot objects must not change any simulated
-result), the FR-FCFS scheduling invariants on the new per-bank queues, the
-simulator's safety-limit reporting, the lazily-invalidated helper
-structures (wake-up heap, tag-store free-slot heap), and the tag store's
-entries built on first use, which keep a system's build cost independent
-of its in-DRAM cache capacity.
+result; a golden mix case also takes both forms of wake the event loop
+uses), the FR-FCFS scheduling invariants on the new per-bank queues, the
+simulator's safety-limit reporting, the wake-up bookkeeping
+(``next_wakeup``, and waking the one due bank by name against a full
+wake), the lazily-invalidated tag-store free-slot heap, and the tag
+store's entries built on first use, which keep a system's build cost
+independent of its in-DRAM cache capacity.
 
 The golden fixture ``tests/golden/scheduler_equivalence.json`` was captured
 by running the listed workloads at smoke scale on the pre-PR-2 revision
@@ -74,6 +76,21 @@ class TestGoldenEquivalence:
     def test_bit_identical_result(self, key):
         assert _run_golden_case(key) == _GOLDEN[key], (
             f"{key} diverged from the pre-refactor golden result")
+
+    def test_mix_case_takes_both_wake_forms(self, monkeypatch):
+        """The loop names the one due bank, or wakes every channel with a
+        due bank when several are due; a golden mix case takes both."""
+        forms = {"bank": 0, "channel": 0}
+        wake = ChannelController.wake
+
+        def counted_wake(controller, now, bank=None):
+            forms["channel" if bank is None else "bank"] += 1
+            return wake(controller, now, bank)
+
+        monkeypatch.setattr(ChannelController, "wake", counted_wake)
+        key = "multi:FIGCache-Fast:mix-25pct-0"
+        assert _run_golden_case(key) == _GOLDEN[key]
+        assert forms["bank"] > 0 and forms["channel"] > 0, forms
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +269,7 @@ class TestSimulatorLimits:
 
 
 # ----------------------------------------------------------------------
-# Lazily-invalidated helper structures.
+# Wake-up bookkeeping and lazily-invalidated helper structures.
 # ----------------------------------------------------------------------
 class TestWakeupHeap:
     def test_next_wakeup_tracks_earliest_pending_bank(self):
@@ -276,6 +293,59 @@ class TestWakeupHeap:
             assert nxt > now
             previous = nxt
         assert not cc.has_pending_work()
+
+
+#: Three banks x three rows x two columns of the one-channel device of
+#: ``_make_channel`` (bank stride 0x2000, row stride 0x20000), so random
+#: requests hit open rows, conflict, and queue behind busy banks.
+_WAKE_ADDRESSES = tuple(bank * 0x2000 + row * 0x20000 + column * 0x40
+                        for bank in range(3) for row in range(3)
+                        for column in range(2))
+
+
+def _served(requests) -> list[tuple]:
+    return [(request.address, request.is_write, request.completion_cycle,
+             request.row_buffer_outcome) for request in requests]
+
+
+class TestNamedBankWake:
+    """``wake(now, bank)`` for the one due bank equals a full ``wake(now)``."""
+
+    @given(ops=st.lists(st.tuples(st.sampled_from(_WAKE_ADDRESSES),
+                                  st.booleans(), st.integers(0, 80)),
+                        min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_full_wake(self, ops):
+        # Twin controllers on twin devices receive the same requests; where
+        # exactly one bank is due, one is told the bank and the other scans.
+        (named_device, named), (scanned_device, scanned) = \
+            _make_channel(), _make_channel()
+
+        def wake_until(limit):
+            while True:
+                due_cycle = named.next_wakeup()
+                assert scanned.next_wakeup() == due_cycle
+                if due_cycle is None or due_cycle > limit:
+                    return
+                due = [bank for bank, cycle in named._wakeup_cycle.items()
+                       if cycle <= due_cycle]
+                woken = named.wake(due_cycle, due[0]) if len(due) == 1 \
+                    else named.wake(due_cycle)
+                assert _served(woken) == _served(scanned.wake(due_cycle))
+
+        now = 0
+        for address, is_write, gap in ops:
+            now += gap
+            wake_until(now)
+            served = [cc.enqueue(_request(device, address, is_write, now),
+                                 now)
+                      for device, cc in ((named_device, named),
+                                         (scanned_device, scanned))]
+            assert _served(served[0]) == _served(served[1])
+        wake_until(float("inf"))
+        assert named.next_wakeup() == scanned.next_wakeup()
+        assert (named.read_queue_occupancy, named.write_queue_occupancy) \
+            == (scanned.read_queue_occupancy, scanned.write_queue_occupancy)
 
 
 _TAG_STORE_OPS = st.lists(st.one_of(

@@ -156,8 +156,15 @@ class TestSyntheticGenerator:
         {"mean_bubbles": math.nan},
         {"working_set_bytes": 32},
         {"base_address": -4096},
+        {"block_size_bytes": 0},
+        {"row_size_bytes": 0},
+        {"block_size_bytes": -64},
+        {"hot_segment_bytes": 1000},
+        {"row_size_bytes": 8100},
     ], ids=["nan-fraction", "fraction-out-of-range", "inf-bubbles",
-            "nan-bubbles", "sub-block-working-set", "negative-base"])
+            "nan-bubbles", "sub-block-working-set", "negative-base",
+            "zero-block", "zero-row", "negative-block",
+            "segment-not-block-multiple", "row-not-block-multiple"])
     def test_validate_rejects_what_the_generator_cannot_run(self, fields):
         with pytest.raises(ValueError):
             SyntheticTraceConfig(**fields).validate()
